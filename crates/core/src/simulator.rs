@@ -7,10 +7,10 @@ use microlib_cpu::{CoreStats, OoOCore};
 use microlib_mech::MechanismKind;
 use microlib_mem::{IntegrityError, MemorySystem};
 use microlib_model::{
-    CacheStats, ConfigError, HardwareBudget, MechanismStats, MemoryStats, PerfSummary,
+    CacheStats, ConfigError, Cycle, HardwareBudget, MechanismStats, MemoryStats, PerfSummary,
     PrefetchQueueStats, SamplingEstimate, SystemConfig,
 };
-use microlib_trace::{benchmarks, InstStream, TraceBuffer, TraceWindow, Workload};
+use microlib_trace::{benchmarks, InstStream, TraceBuffer, TraceInst, TraceWindow, Workload};
 use std::fmt;
 use std::sync::Arc;
 
@@ -160,7 +160,7 @@ impl RunResult {
 
 /// Every monotone counter bundle `simulate` reports, captured mid-run at
 /// measurement boundaries and differenced.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct StatsSnapshot {
     core: CoreStats,
     l1d: CacheStats,
@@ -174,10 +174,10 @@ struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    fn capture(core: &OoOCore, mem: &MemorySystem) -> Self {
+    fn capture(core: CoreStats, mem: &MemorySystem) -> Self {
         let (queue_l1, queue_l2) = mem.prefetch_queue_stats();
         StatsSnapshot {
-            core: core.stats(),
+            core,
             l1d: mem.l1d_stats(),
             l1i: mem.l1i_stats(),
             l2: mem.l2_stats(),
@@ -680,29 +680,17 @@ pub(crate) fn simulate(
     let mut trace = stream.by_ref().take(opts.window.simulate as usize);
     let budget = opts.cycle_budget() + start.raw();
     let mut now = start;
-    let mut completions = Vec::new();
-    loop {
-        mem.begin_cycle_into(now, &mut completions);
-        core.cycle(now, &completions, &mut mem, &mut trace);
-        if let Some(error) = mem.integrity_error() {
-            return Err(SimError::Integrity {
-                benchmark: benchmark.to_owned(),
-                error,
-            });
-        }
-        if core.drained() {
-            break;
-        }
-        if now.raw() >= budget {
-            return Err(SimError::Timeout {
-                benchmark: benchmark.to_owned(),
-                cycles: budget,
-            });
-        }
-        now += 1;
-    }
+    run_detailed(
+        &mut core,
+        &mut mem,
+        &mut trace,
+        &mut now,
+        budget,
+        benchmark,
+        |_, _| {},
+    )?;
 
-    let measured = StatsSnapshot::capture(&core, &mem);
+    let measured = StatsSnapshot::capture(core.stats(), &mem);
     Ok(result_from(benchmark, label, hardware, &measured))
 }
 
@@ -834,68 +822,232 @@ pub(crate) fn simulate_sampled(
         let mut marks = stretch.marks.iter();
         let mut next_mark = marks.next();
         let mut open: Option<StatsSnapshot> = None;
-        let mut completions = Vec::new();
-        loop {
-            mem.begin_cycle_into(now, &mut completions);
-            core.cycle(now, &completions, &mut mem, &mut trace);
-            if let Some(error) = mem.integrity_error() {
-                return Err(SimError::Integrity {
-                    benchmark: benchmark.to_owned(),
-                    error,
-                });
-            }
-            // A commit burst can cross a begin and an end boundary in one
-            // cycle; settle all crossed boundaries before continuing.
-            loop {
-                let committed = core.stats().committed;
-                match (&open, next_mark) {
-                    (Some(begin), Some(mark)) if committed >= mark.end_at => {
-                        let measured = begin.delta_from(&StatsSnapshot::capture(&core, &mem));
-                        parts.push(result_from(benchmark, label, hardware.clone(), &measured));
-                        open = None;
-                        next_mark = marks.next();
+        // Marks are crossed at the first cycle or by commits, and those
+        // cycles always step, so `after_cycle` sees every crossing.
+        run_detailed(
+            &mut core,
+            &mut mem,
+            &mut trace,
+            &mut now,
+            budget,
+            benchmark,
+            |core, mem| {
+                // A commit burst can cross a begin and an end boundary in
+                // one cycle; settle all crossed boundaries before
+                // continuing.
+                loop {
+                    let committed = core.stats().committed;
+                    match (&open, next_mark) {
+                        (Some(begin), Some(mark)) if committed >= mark.end_at => {
+                            let end = StatsSnapshot::capture(core.stats(), mem);
+                            let measured = begin.delta_from(&end);
+                            parts.push(result_from(benchmark, label, hardware.clone(), &measured));
+                            open = None;
+                            next_mark = marks.next();
+                        }
+                        (None, Some(mark)) if committed >= mark.begin_at => {
+                            open = Some(StatsSnapshot::capture(core.stats(), mem));
+                            // `next_mark` stays: its end still needs closing.
+                        }
+                        _ => break,
                     }
-                    (None, Some(mark)) if committed >= mark.begin_at => {
-                        open = Some(StatsSnapshot::capture(&core, &mem));
-                        // `next_mark` stays: its end still needs closing.
-                    }
-                    _ => break,
                 }
-            }
-            if core.drained() {
-                break;
-            }
-            if now.raw() >= budget {
-                return Err(SimError::Timeout {
-                    benchmark: benchmark.to_owned(),
-                    cycles: budget,
-                });
-            }
-            now += 1;
-        }
+            },
+        )?;
         // A truncated trace can drain the stretch before the last mark
         // closes; close it at whatever committed (combine weighs parts by
         // their actual instruction counts).
         if let Some(begin) = open {
-            let measured = begin.delta_from(&StatsSnapshot::capture(&core, &mem));
+            let measured = begin.delta_from(&StatsSnapshot::capture(core.stats(), &mem));
             parts.push(result_from(benchmark, label, hardware.clone(), &measured));
         }
         // Quiesce before handing the system back to functional warm-up:
         // a fill still in flight would otherwise complete *after* the gap
         // has moved memory on, installing stale data (and its completion
         // token could collide with the next stretch's fresh core).
-        while !mem.quiescent() {
-            now += 1;
-            mem.begin_cycle_into(now, &mut completions);
-            if now.raw() >= budget {
-                return Err(SimError::Timeout {
-                    benchmark: benchmark.to_owned(),
-                    cycles: budget,
-                });
-            }
-        }
+        quiesce(&mut mem, &mut now, budget, benchmark)?;
     }
     Ok(parts)
+}
+
+fn timeout(benchmark: &str, budget: u64) -> SimError {
+    SimError::Timeout {
+        benchmark: benchmark.to_owned(),
+        cycles: budget,
+    }
+}
+
+/// The detailed loop shared by full and sampled runs: from `*now`, one
+/// [`MemorySystem::begin_cycle_into`] and one [`OoOCore::cycle`] per
+/// cycle until the core drains, leaving `*now` at the draining cycle.
+/// `after_cycle` sees the system after every stepped cycle. A value
+/// integrity violation, or running past cycle `budget`, ends the run
+/// with an error.
+///
+/// After a quiet cycle — no completion delivered, nothing committed or
+/// fetched — the loop jumps straight to the next cycle at which anything
+/// can happen ([`horizon`]) and credits the per-cycle counters of the
+/// cycles in between in bulk ([`skip_quiet`]). Busy cycles pay nothing
+/// for this, and nothing the loop reports changes by a single count.
+fn run_detailed(
+    core: &mut OoOCore,
+    mem: &mut MemorySystem,
+    trace: &mut dyn Iterator<Item = TraceInst>,
+    now: &mut Cycle,
+    budget: u64,
+    benchmark: &str,
+    mut after_cycle: impl FnMut(&OoOCore, &MemorySystem),
+) -> Result<(), SimError> {
+    let mut completions = Vec::new();
+    loop {
+        mem.begin_cycle_into(*now, &mut completions);
+        let fetched = core.stats().fetched;
+        let committed = core.cycle(*now, &completions, mem, trace);
+        if let Some(error) = mem.integrity_error() {
+            return Err(SimError::Integrity {
+                benchmark: benchmark.to_owned(),
+                error,
+            });
+        }
+        after_cycle(core, mem);
+        if core.drained() {
+            return Ok(());
+        }
+        if now.raw() >= budget {
+            return Err(timeout(benchmark, budget));
+        }
+        let quiet = completions.is_empty() && committed == 0 && core.stats().fetched == fetched;
+        let next = if quiet {
+            horizon(Some(core), mem, *now, budget)
+        } else {
+            *now + 1
+        };
+        skip_quiet(Some((core, trace)), mem, *now, next, budget);
+        *now = next;
+    }
+}
+
+/// Steps the memory system alone from `*now` until nothing is in flight,
+/// jumping between its events like [`run_detailed`]. `*now` ends at the
+/// last cycle stepped; running past cycle `budget` is an error.
+fn quiesce(
+    mem: &mut MemorySystem,
+    now: &mut Cycle,
+    budget: u64,
+    benchmark: &str,
+) -> Result<(), SimError> {
+    let mut completions = Vec::new();
+    while !mem.quiescent() {
+        let next = horizon(None, mem, *now, budget);
+        skip_quiet(None, mem, *now, next, budget);
+        *now = next;
+        mem.begin_cycle_into(*now, &mut completions);
+        if now.raw() >= budget {
+            return Err(timeout(benchmark, budget));
+        }
+    }
+    Ok(())
+}
+
+/// The next cycle the detailed loop must step after cycle `now`: the
+/// earliest of the core's next event (`None` for a memory-only phase),
+/// the memory system's, and the cycle `budget` — whose step must still
+/// happen, so a run that times out does so at the same cycle.
+fn horizon(core: Option<&OoOCore>, mem: &MemorySystem, now: Cycle, budget: u64) -> Cycle {
+    let Some(core_bound) = core.map_or(Some(Cycle::NEVER), |core| core.next_event(now)) else {
+        return now + 1;
+    };
+    core_bound
+        .min(mem.next_event(now))
+        .min(Cycle::new(budget))
+        .max(now + 1)
+}
+
+/// Accounts for the quiet cycles strictly between `now` and `target` (a
+/// [`horizon`]): release builds jump, crediting the per-cycle counters
+/// in bulk. Debug builds shadow-check the jump instead: they compute the
+/// credit first, then single-step the interval for real and assert that
+/// every stepped cycle was quiet and kept the same horizon, and that of
+/// every counter the run reports (plus the L1 drain counters) exactly
+/// the credited ones moved, by exactly the credit.
+fn skip_quiet(
+    mut core: Option<(&mut OoOCore, &mut dyn Iterator<Item = TraceInst>)>,
+    mem: &mut MemorySystem,
+    now: Cycle,
+    target: Cycle,
+    budget: u64,
+) {
+    if target <= now + 1 {
+        return;
+    }
+    if !cfg!(debug_assertions) {
+        if let Some((core, _)) = core {
+            core.skip_to(now, target);
+        }
+        mem.skip_to(now, target);
+        return;
+    }
+    let core_stats = |core: &Option<(&mut OoOCore, _)>| core.as_ref().map(|(c, _)| c.stats());
+    let core_credit = core
+        .as_ref()
+        .map(|(core, _)| core.quiet_credit(now, target));
+    let mem_credit = mem.quiet_credit(now, target);
+    let before = StatsSnapshot::capture(core_stats(&core).unwrap_or_default(), mem);
+    let drain = mem.l1_drain_counters();
+    let mut completions = Vec::new();
+    for c in now.raw() + 1..target.raw() {
+        let c = Cycle::new(c);
+        mem.begin_cycle_into(c, &mut completions);
+        assert!(
+            completions.is_empty(),
+            "cycle {c} predicted quiet delivered a completion"
+        );
+        if let Some((core, trace)) = &mut core {
+            let fetched = core.stats().fetched;
+            let committed = core.cycle(c, &completions, mem, *trace);
+            assert_eq!(
+                (committed, core.stats().fetched),
+                (0, fetched),
+                "cycle {c} predicted quiet"
+            );
+        }
+        let core = core.as_ref().map(|(core, _)| &**core);
+        assert_eq!(
+            horizon(core, mem, c, budget),
+            target,
+            "horizon moved at cycle {c}"
+        );
+    }
+    let after = StatsSnapshot::capture(core_stats(&core).unwrap_or_default(), mem);
+    assert_eq!(
+        sub_core(&after.core, &before.core),
+        core_credit.unwrap_or_default(),
+        "core credit over ({now}, {target})"
+    );
+    assert_eq!(
+        after.memory.queue_wait_cycles - before.memory.queue_wait_cycles,
+        mem_credit.queue_wait_cycles,
+        "SDRAM credit over ({now}, {target})"
+    );
+    let uncredited = StatsSnapshot {
+        core: before.core,
+        memory: MemoryStats {
+            queue_wait_cycles: before.memory.queue_wait_cycles,
+            ..after.memory
+        },
+        ..after
+    };
+    assert_eq!(
+        uncredited, before,
+        "uncredited counters moved over ({now}, {target})"
+    );
+    let expect_drain =
+        drain.map(|(ok, blocked, dropped)| (ok + mem_credit.drain_ok, blocked, dropped));
+    assert_eq!(
+        mem.l1_drain_counters(),
+        expect_drain,
+        "drain credit over ({now}, {target})"
+    );
 }
 
 /// Shapes one measured counter bundle as a [`RunResult`].

@@ -121,6 +121,34 @@ impl BinCodec for CoreStats {
     }
 }
 
+/// Why dispatch could not move an instruction (see
+/// `OoOCore::dispatch_stall`).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum DispatchStall {
+    /// The window is full (counts a `window_full_stalls` cycle).
+    WindowFull,
+    /// The fetch buffer is empty (counts nothing).
+    Empty,
+    /// The next instruction needs an LSQ entry and none is free (counts
+    /// an `lsq_full_stalls` cycle).
+    LsqFull,
+}
+
+/// Why fetch did nothing in a cycle (see `OoOCore::fetch_stall`).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum FetchStall {
+    /// The trace is exhausted (counts nothing).
+    TraceDone,
+    /// An unresolved mispredicted branch, or its refill penalty (counts a
+    /// `mispredict_stall_cycles` cycle).
+    Mispredict,
+    /// An instruction-cache miss is outstanding (counts an
+    /// `icache_stall_cycles` cycle).
+    ICache,
+    /// The fetch buffer already holds a fetch group (counts nothing).
+    BufferFull,
+}
+
 /// One entry of the open-addressed store index: a word address and the
 /// head/tail slots of its chain of in-window stores (ascending program
 /// order, linked through the core's `store_next` column).
@@ -498,6 +526,119 @@ impl OoOCore {
         committed
     }
 
+    /// The next cycle after `now` at which [`OoOCore::cycle`] can change
+    /// anything but its stall counters, provided the memory system
+    /// delivers no completion before then; `None` when that may be the
+    /// very next cycle.
+    ///
+    /// Call it after [`OoOCore::cycle`] for `now`. It answers `None` when
+    /// a slot is ready to issue, the window head has completed (it
+    /// commits, or a store retries the cache), dispatch can move an
+    /// instruction, or fetch can run. Otherwise the core is waiting on
+    /// executing slots, on memory, or on a mispredict penalty, and the
+    /// bound is the earliest `done_at` — or the end of that penalty
+    /// ([`Cycle::NEVER`] when only memory can wake it). Every cycle before
+    /// the bound then only moves the counters
+    /// [`quiet_credit`](OoOCore::quiet_credit) computes.
+    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        if self.ready.iter().any(|&w| w != 0) {
+            return None;
+        }
+        if self.base != self.next_seq && self.state[self.pos_of(self.base)] == SlotState::Completed
+        {
+            return None;
+        }
+        self.dispatch_stall()?; // dispatch can move an instruction
+        let mut at = match self.fetch_stall(now + 1)? {
+            // A refill penalty ends by itself; an unresolved branch waits
+            // for its writeback (an executing slot below, or memory).
+            FetchStall::Mispredict if self.blocking_branch.is_none() => self.fetch_blocked_until,
+            _ => Cycle::NEVER,
+        };
+        for (w, &word) in self.executing_bits.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let pos = (w << 6) | bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                at = at.min(self.done_at[pos]);
+            }
+        }
+        Some(at)
+    }
+
+    /// Why dispatch cannot move an instruction this cycle — the stall
+    /// counter it bumps, if any — or `None` when it can.
+    fn dispatch_stall(&self) -> Option<DispatchStall> {
+        if self.next_seq - self.base >= self.config.ruu_entries as u64 {
+            return Some(DispatchStall::WindowFull);
+        }
+        match self.fetch_buffer.front() {
+            None => Some(DispatchStall::Empty),
+            Some(inst) if inst.op.is_mem() && self.lsq_used >= self.config.lsq_entries => {
+                Some(DispatchStall::LsqFull)
+            }
+            Some(_) => None,
+        }
+    }
+
+    /// Why fetch does nothing at `now` — the stall counter it bumps, if
+    /// any — or `None` when it runs.
+    fn fetch_stall(&self, now: Cycle) -> Option<FetchStall> {
+        if self.trace_done {
+            Some(FetchStall::TraceDone)
+        } else if self.blocking_branch.is_some() || self.fetch_blocked_until > now {
+            Some(FetchStall::Mispredict)
+        } else if self.ifetch_pending.is_some() {
+            Some(FetchStall::ICache)
+        } else if self.fetch_buffer.len() >= self.config.fetch_width as usize {
+            // Keep the fetch buffer at most one fetch-group deep.
+            Some(FetchStall::BufferFull)
+        } else {
+            None
+        }
+    }
+
+    /// The stall counters the quiet cycles strictly between `now` and
+    /// `target` add, for `target` no later than
+    /// [`next_event`](OoOCore::next_event)`(now)`; every other field is
+    /// zero. Each counter moves once per cycle under the same condition
+    /// that bumps it in [`OoOCore::cycle`], and none of those conditions
+    /// can change before the bound.
+    pub fn quiet_credit(&self, now: Cycle, target: Cycle) -> CoreStats {
+        let cycles = target.since(now).saturating_sub(1);
+        let mut credit = CoreStats {
+            cycles,
+            ..CoreStats::default()
+        };
+        match self.dispatch_stall() {
+            Some(DispatchStall::WindowFull) => credit.window_full_stalls = cycles,
+            Some(DispatchStall::LsqFull) => credit.lsq_full_stalls = cycles,
+            Some(DispatchStall::Empty) | None => {}
+        }
+        match self.fetch_stall(now + 1) {
+            Some(FetchStall::Mispredict) => {
+                debug_assert!(self.blocking_branch.is_some() || target <= self.fetch_blocked_until);
+                credit.mispredict_stall_cycles = cycles;
+            }
+            Some(FetchStall::ICache) => credit.icache_stall_cycles = cycles,
+            Some(FetchStall::TraceDone | FetchStall::BufferFull) | None => {}
+        }
+        credit
+    }
+
+    /// Jumps over the quiet cycles strictly between `now` and `target`
+    /// (see [`next_event`](OoOCore::next_event)), crediting their stall
+    /// counters in bulk; the pipeline itself is left untouched, exactly
+    /// as those cycles would have left it.
+    pub fn skip_to(&mut self, now: Cycle, target: Cycle) {
+        let c = self.quiet_credit(now, target);
+        self.stats.cycles += c.cycles;
+        self.stats.window_full_stalls += c.window_full_stalls;
+        self.stats.lsq_full_stalls += c.lsq_full_stalls;
+        self.stats.mispredict_stall_cycles += c.mispredict_stall_cycles;
+        self.stats.icache_stall_cycles += c.icache_stall_cycles;
+    }
+
     fn apply_completions(&mut self, completions: &[Completion]) {
         for c in completions {
             let Some(i) = self.mem_requests.iter().position(|e| e.0 == c.req) else {
@@ -786,21 +927,22 @@ impl OoOCore {
 
     fn dispatch(&mut self) {
         for _ in 0..self.config.decode_width {
-            if self.next_seq - self.base >= self.config.ruu_entries as u64 {
-                self.stats.window_full_stalls += 1;
-                break;
-            }
-            let Some(inst) = self.fetch_buffer.front() else {
-                break;
-            };
-            if inst.op.is_mem() {
-                if self.lsq_used >= self.config.lsq_entries {
+            match self.dispatch_stall() {
+                Some(DispatchStall::WindowFull) => {
+                    self.stats.window_full_stalls += 1;
+                    break;
+                }
+                Some(DispatchStall::LsqFull) => {
                     self.stats.lsq_full_stalls += 1;
                     break;
                 }
+                Some(DispatchStall::Empty) => break,
+                None => {}
+            }
+            let inst = self.fetch_buffer.pop_front().expect("dispatchable");
+            if inst.op.is_mem() {
                 self.lsq_used += 1;
             }
-            let inst = self.fetch_buffer.pop_front().expect("peeked");
             let seq = self.next_seq;
             let pos = self.pos_of(seq);
             self.op[pos] = inst.op;
@@ -857,20 +999,17 @@ impl OoOCore {
         mem: &mut MemorySystem,
         trace: &mut dyn Iterator<Item = TraceInst>,
     ) {
-        if self.trace_done {
-            return;
-        }
-        if self.blocking_branch.is_some() || self.fetch_blocked_until > now {
-            self.stats.mispredict_stall_cycles += 1;
-            return;
-        }
-        if self.ifetch_pending.is_some() {
-            self.stats.icache_stall_cycles += 1;
-            return;
-        }
-        // Keep the fetch buffer at most one fetch-group deep.
-        if self.fetch_buffer.len() >= self.config.fetch_width as usize {
-            return;
+        match self.fetch_stall(now) {
+            Some(FetchStall::Mispredict) => {
+                self.stats.mispredict_stall_cycles += 1;
+                return;
+            }
+            Some(FetchStall::ICache) => {
+                self.stats.icache_stall_cycles += 1;
+                return;
+            }
+            Some(FetchStall::TraceDone | FetchStall::BufferFull) => return,
+            None => {}
         }
         for _ in 0..self.config.fetch_width {
             let Some(inst) = trace.next() else {
@@ -947,6 +1086,20 @@ mod tests {
         insts: Vec<TraceInst>,
         max_cycles: u64,
     ) -> u64 {
+        run_with(core, mem, insts, max_cycles, false).0
+    }
+
+    /// [`run`], optionally jumping over quiet cycles the way the
+    /// simulator's detailed loop does: after a cycle that delivered,
+    /// committed and fetched nothing, both sides skip to the earlier of
+    /// their next events. Returns the cycles used and the cycles jumped.
+    fn run_with(
+        core: &mut OoOCore,
+        mem: &mut MemorySystem,
+        insts: Vec<TraceInst>,
+        max_cycles: u64,
+        jump: bool,
+    ) -> (u64, u64) {
         let mut start = 0u64;
         if let Some(first) = insts.first() {
             mem.begin_cycle(Cycle::ZERO);
@@ -964,17 +1117,31 @@ mod tests {
         }
         let mut trace = insts.into_iter();
         let mut used = 0;
-        for c in 0..max_cycles {
+        let mut jumped = 0;
+        let mut c = 0;
+        while c < max_cycles {
             used = c;
             let now = Cycle::new(start + c);
             let completions = mem.begin_cycle(now);
-            core.cycle(now, &completions, mem, &mut trace);
+            let fetched = core.stats().fetched;
+            let committed = core.cycle(now, &completions, mem, &mut trace);
             if core.drained() {
                 break;
             }
+            c += 1;
+            if jump && completions.is_empty() && committed == 0 && core.stats().fetched == fetched {
+                if let Some(bound) = core.next_event(now) {
+                    let end = Cycle::new(start + max_cycles);
+                    let target = bound.min(mem.next_event(now)).min(end).max(now + 1);
+                    core.skip_to(now, target);
+                    mem.skip_to(now, target);
+                    c = target.raw() - start;
+                    jumped += target - now - 1;
+                }
+            }
         }
         assert!(core.drained(), "core did not drain: {:?}", core.stats());
-        used
+        (used, jumped)
     }
 
     /// ALU instructions whose PCs loop within a small code footprint (as
@@ -1162,11 +1329,12 @@ mod tests {
     /// are maintained incrementally by the pipeline stages, and any change
     /// to their accounting (or to the scheduler that feeds them) must show
     /// up here as a deliberate diff.
-    #[test]
-    fn stats_pinned_for_fixed_trace() {
+    /// Stores, forwarded and missing loads, divides and (mispredicted)
+    /// branches over a small code footprint.
+    fn mixed_trace(n: u64) -> Vec<TraceInst> {
         let pc = |i: u64| Addr::new(0x40_0000 + (i % 64) * 4);
         let mut insts = Vec::new();
-        for i in 0..400u64 {
+        for i in 0..n {
             insts.push(match i % 7 {
                 0 => TraceInst::store(pc(i), Addr::new(0x20_0000 + (i % 8) * 8), i, [None, None]),
                 1 => TraceInst::load(pc(i), Addr::new(0x20_0000 + (i % 8) * 8), [None, None]),
@@ -1184,9 +1352,14 @@ mod tests {
                 _ => TraceInst::alu(pc(i), OpClass::IntAlu, [Some(1), Some(2)]),
             });
         }
+        insts
+    }
+
+    #[test]
+    fn stats_pinned_for_fixed_trace() {
         let mut core = OoOCore::new(CoreConfig::baseline());
         let mut m = mem();
-        run(&mut core, &mut m, insts, 100_000);
+        run(&mut core, &mut m, mixed_trace(400), 100_000);
         let s = core.stats();
         assert!(m.integrity_error().is_none(), "{:?}", m.integrity_error());
         assert_eq!(
@@ -1213,6 +1386,36 @@ mod tests {
         assert_eq!(s.mispredict_stall_cycles, 2166, "full stats: {s:?}");
         assert_eq!(s.icache_stall_cycles, 308, "full stats: {s:?}");
         assert_eq!(s.cache_reject_stalls, 2, "full stats: {s:?}");
+    }
+
+    /// Jumping over quiet cycles with `next_event`/`skip_to` on both
+    /// sides leaves every core and memory counter exactly where stepping
+    /// each cycle leaves it — under the constant memory and the SDRAM
+    /// model, with a prefetcher whose drain counters are credited, and
+    /// with enough quiet cycles for the jumps to matter.
+    #[test]
+    fn jumping_quiet_cycles_matches_stepping() {
+        for config in [
+            SystemConfig::baseline_constant_memory(),
+            SystemConfig::baseline(),
+        ] {
+            let run_mode = |jump: bool| {
+                let mech = Box::new(microlib_model::BaseMechanism::new());
+                let mut m = MemorySystem::new(config.clone(), vec![mech]).unwrap();
+                let mut core = OoOCore::new(CoreConfig::baseline());
+                let (used, jumped) = run_with(&mut core, &mut m, mixed_trace(600), 200_000, jump);
+                assert_eq!(jumped > 0, jump);
+                assert!(m.integrity_error().is_none(), "{:?}", m.integrity_error());
+                let memory = (m.l1d_stats(), m.l1i_stats(), m.l2_stats(), m.memory_stats());
+                (used, core.stats(), memory, m.l1_drain_counters())
+            };
+            let (stepped, jumped) = (run_mode(false), run_mode(true));
+            assert_eq!(jumped, stepped);
+            let s = stepped.1;
+            let stalls = s.mispredict_stall_cycles + s.icache_stall_cycles + s.window_full_stalls;
+            assert!(stalls > s.cycles / 2, "mostly stalled: {s:?}");
+            assert!(stepped.3.is_some_and(|(ok, ..)| ok > 0));
+        }
     }
 
     /// Hammers the open-addressed store index: many distinct words (probe

@@ -15,8 +15,8 @@
 //! pointer-dense nodes trigger floods of depth-3 prefetches (speedup 0.75).
 
 use microlib_model::{
-    AccessEvent, Addr, AttachPoint, HardwareBudget, Mechanism, MechanismStats, PrefetchDestination,
-    PrefetchQueue, PrefetchRequest, RefillEvent, SramTable,
+    AccessEvent, Addr, AttachPoint, Cycle, HardwareBudget, Mechanism, MechanismStats,
+    PrefetchDestination, PrefetchQueue, PrefetchRequest, RefillEvent, SramTable,
 };
 use std::collections::HashMap;
 
@@ -126,6 +126,10 @@ impl Mechanism for ContentDirectedPrefetcher {
                 }
             }
         }
+    }
+
+    fn next_tick(&self, _now: Cycle) -> Cycle {
+        Cycle::NEVER // no time-based state, no sidecar to spill
     }
 
     fn hardware(&self) -> HardwareBudget {

@@ -169,6 +169,15 @@ impl Mechanism for FrequentValueCache {
         std::mem::take(&mut self.spills)
     }
 
+    fn next_tick(&self, now: Cycle) -> Cycle {
+        // No time-based state: only a pending spill needs a cycle.
+        if self.spills.is_empty() {
+            Cycle::NEVER
+        } else {
+            now + 1
+        }
+    }
+
     fn hardware(&self) -> HardwareBudget {
         HardwareBudget::with_tables(
             "FVC",

@@ -14,8 +14,8 @@
 
 use crate::table::AssocTable;
 use microlib_model::{
-    AccessEvent, AccessOutcome, Addr, AttachPoint, HardwareBudget, Mechanism, MechanismStats,
-    PrefetchDestination, PrefetchQueue, PrefetchRequest, SramTable,
+    AccessEvent, AccessOutcome, Addr, AttachPoint, Cycle, HardwareBudget, Mechanism,
+    MechanismStats, PrefetchDestination, PrefetchQueue, PrefetchRequest, SramTable,
 };
 
 #[derive(Clone, Copy, Debug)]
@@ -195,6 +195,10 @@ impl Mechanism for GlobalHistoryBuffer {
                 });
             }
         }
+    }
+
+    fn next_tick(&self, _now: Cycle) -> Cycle {
+        Cycle::NEVER // no time-based state, no sidecar to spill
     }
 
     fn hardware(&self) -> HardwareBudget {

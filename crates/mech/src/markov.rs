@@ -209,6 +209,10 @@ impl Mechanism for MarkovPrefetcher {
         }
     }
 
+    fn next_tick(&self, _now: Cycle) -> Cycle {
+        Cycle::NEVER // no time-based state, no sidecar to spill
+    }
+
     fn hardware(&self) -> HardwareBudget {
         // Entry: tag (26b) + 4 successor addresses × 56b + LRU state —
         // 32 K entries × 256 bits = the 1 MB of Table 3.

@@ -203,6 +203,11 @@ impl Mechanism for TimekeepingPrefetcher {
         }
     }
 
+    fn next_tick(&self, now: Cycle) -> Cycle {
+        // `tick` only acts on refresh boundaries (and never at cycle 0).
+        Cycle::new((now.raw() / REFRESH_INTERVAL + 1) * REFRESH_INTERVAL)
+    }
+
     fn hardware(&self) -> HardwareBudget {
         HardwareBudget::with_tables(
             "TK",
@@ -352,5 +357,52 @@ mod tests {
         tk.on_access(&hit(0x9000, 2049), &mut q);
         assert!(q.is_empty(), "no duplicate death prediction");
         assert!(first.contains(&0x9000));
+    }
+
+    /// `next_tick` names exactly the refresh boundaries: ticking only at
+    /// the cycles it returns leaves the same predictions and counters as
+    /// ticking every cycle.
+    #[test]
+    fn next_tick_visits_every_refresh_boundary() {
+        assert_eq!(
+            TimekeepingPrefetcher::new().next_tick(Cycle::ZERO),
+            Cycle::new(512)
+        );
+        assert_eq!(
+            TimekeepingPrefetcher::new().next_tick(Cycle::new(511)),
+            Cycle::new(512)
+        );
+        assert_eq!(
+            TimekeepingPrefetcher::new().next_tick(Cycle::new(512)),
+            Cycle::new(1024)
+        );
+        let trained = || {
+            let mut tk = TimekeepingPrefetcher::new();
+            let mut q = PrefetchQueue::new(128);
+            tk.on_refill(&refill(0x1000, 0), &mut q);
+            for t0 in [10, 30, 50] {
+                train_replacement(&mut tk, &mut q, t0);
+            }
+            tk.on_access(&hit(0x1000, 60), &mut q);
+            tk
+        };
+        let (mut every, mut jumping) = (trained(), trained());
+        let mut next = jumping.next_tick(Cycle::new(60));
+        for t in 61..5_000 {
+            every.tick(Cycle::new(t));
+            if t == next.raw() {
+                jumping.tick(Cycle::new(t));
+                next = jumping.next_tick(Cycle::new(t));
+            }
+        }
+        let drain = |tk: &mut TimekeepingPrefetcher| {
+            let mut q = PrefetchQueue::new(128);
+            tk.on_access(&hit(0x3000, 5_000), &mut q);
+            std::iter::from_fn(move || q.pop().map(|r| r.line.raw())).collect::<Vec<_>>()
+        };
+        let predicted = drain(&mut every);
+        assert!(predicted.contains(&0x9000), "{predicted:x?}");
+        assert_eq!(drain(&mut jumping), predicted);
+        assert_eq!(jumping.stats(), every.stats());
     }
 }

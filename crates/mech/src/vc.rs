@@ -131,6 +131,15 @@ impl Mechanism for VictimCache {
         std::mem::take(&mut self.spills)
     }
 
+    fn next_tick(&self, now: Cycle) -> Cycle {
+        // No time-based state: only a pending spill needs a cycle.
+        if self.spills.is_empty() {
+            Cycle::NEVER
+        } else {
+            now + 1
+        }
+    }
+
     fn hardware(&self) -> HardwareBudget {
         let data_bits = self.line_bytes * 8;
         let tag_state_bits = 64 - self.line_bytes.trailing_zeros() as u64 + 2;

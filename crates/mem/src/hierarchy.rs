@@ -116,6 +116,25 @@ enum L2Req {
     },
 }
 
+impl L2Req {
+    fn arrival(&self) -> Cycle {
+        match self {
+            L2Req::Demand { arrival, .. } | L2Req::Writeback { arrival, .. } => *arrival,
+        }
+    }
+}
+
+/// Per-cycle counters a run of quiet cycles adds (see
+/// [`MemorySystem::quiet_credit`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct QuietCredit {
+    /// SDRAM cycles with a transaction waiting in the controller queue.
+    pub queue_wait_cycles: u64,
+    /// Cycles the L1 prefetch drain found its path open (the L1 slot's
+    /// `drain_ok` counter).
+    pub drain_ok: u64,
+}
+
 #[derive(Clone, Copy, Debug)]
 struct L1Fill {
     l1_line: Addr,
@@ -1605,11 +1624,7 @@ impl MemorySystem {
 
     fn pump_l2_queue(&mut self) {
         while let Some(front) = self.l2_queue.front() {
-            let arrival = match front {
-                L2Req::Demand { arrival, .. } => *arrival,
-                L2Req::Writeback { arrival, .. } => *arrival,
-            };
-            if arrival > self.now || !self.l2.port_available() {
+            if front.arrival() > self.now || !self.l2.port_available() {
                 break;
             }
             let req = self.l2_queue.pop_front().expect("front exists");
@@ -2248,6 +2263,78 @@ impl MemorySystem {
             && self.mem_pending.is_empty()
             && self.mem_inflight.is_empty()
             && self.buffer_inflight.is_empty()
+    }
+
+    /// The first cycle after `now` at which
+    /// [`begin_cycle_into`](MemorySystem::begin_cycle_into) can do
+    /// anything beyond counting a quiet cycle, given that the core issues
+    /// nothing meanwhile: the earliest of the memory-controller queue
+    /// head's `ready_at`, main memory's own next event, every L2 refill
+    /// and L1 fill arrival, the L2 request queue's front arrival and each
+    /// mechanism's [`next_tick`](microlib_model::Mechanism::next_tick).
+    /// A non-empty prefetch queue drains (or counts a blocked drain)
+    /// every cycle, so it pins the bound to `now + 1`.
+    ///
+    /// Every cycle before the bound runs no pump, fill, drain or tick:
+    /// the only counters it moves are the ones
+    /// [`quiet_credit`](MemorySystem::quiet_credit) computes.
+    pub fn next_event(&self, now: Cycle) -> Cycle {
+        let next = now + 1;
+        let slots = || self.l1_mech.iter().chain(&self.l2_mech);
+        if slots().any(|slot| !slot.queue.is_empty()) {
+            return next;
+        }
+        let mut at = self.memory.next_event();
+        if let Some(head) = self.mem_pending.front() {
+            at = at.min(head.ready_at);
+        }
+        if let Some(front) = self.l2_queue.front() {
+            at = at.min(front.arrival());
+        }
+        for refill in &self.l2_refills {
+            at = at.min(refill.arrive);
+        }
+        for fill in &self.l1_fills {
+            at = at.min(fill.arrive);
+        }
+        for slot in slots() {
+            at = at.min(slot.mech.next_tick(now));
+        }
+        at.max(next)
+    }
+
+    /// The counters the quiet cycles strictly between `now` and `target`
+    /// add, for `target <= next_event(now)`. Both are pure functions of
+    /// state those cycles cannot change: the SDRAM queue occupancy, and
+    /// the L1 drain condition (`l1_l2_bus.busy_until() <= cycle + 2` and
+    /// `l1d.stalled_until <= cycle`, true from a fixed cycle on).
+    pub fn quiet_credit(&self, now: Cycle, target: Cycle) -> QuietCredit {
+        let cycles = target.since(now).saturating_sub(1);
+        let drain_ok = match &self.l1_mech {
+            Some(_) => {
+                let open_from = Cycle::new(self.l1_l2_bus.busy_until().raw().saturating_sub(2))
+                    .max(self.l1d.stalled_until)
+                    .max(now + 1);
+                target.since(open_from)
+            }
+            None => 0,
+        };
+        QuietCredit {
+            queue_wait_cycles: self.memory.quiet_queue_wait(cycles),
+            drain_ok,
+        }
+    }
+
+    /// Jumps over the quiet cycles strictly between `now` and `target`
+    /// (`target <= next_event(now)`): nothing is pumped, only the
+    /// per-cycle counters are credited in bulk, leaving the hierarchy
+    /// exactly as if each of those cycles had been run.
+    pub fn skip_to(&mut self, now: Cycle, target: Cycle) {
+        let credit = self.quiet_credit(now, target);
+        self.memory.skip(target.since(now).saturating_sub(1));
+        if let Some(slot) = &mut self.l1_mech {
+            slot.drain_ok += credit.drain_ok;
+        }
     }
 }
 

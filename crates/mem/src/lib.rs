@@ -41,7 +41,7 @@ mod warmup;
 pub use bus::{Bus, BusStats};
 pub use cache::{CacheArray, HitInfo, Victim};
 pub use functional::{FunctionalMemory, IntegrityError, SparseMemory};
-pub use hierarchy::{Completion, IssueRejection, IssueResult, MemorySystem, ReqId};
+pub use hierarchy::{Completion, IssueRejection, IssueResult, MemorySystem, QuietCredit, ReqId};
 pub use mshr::{MshrCompletion, MshrEntry, MshrFile, MshrOutcome, MshrStats, MshrTarget};
 pub use sdram::{ConstantMemory, MainMemory, MemDone, MemToken, Sdram};
 pub use warmup::{capture_warm_state, WarmCheckpoint, WarmEvent, WarmLog, WarmState};

@@ -310,6 +310,36 @@ impl Sdram {
         }
     }
 
+    /// The earliest cycle at which [`Sdram::tick_into`] can do more than
+    /// count a queue-wait cycle: a completion falls due (`next_ready`) or,
+    /// with transactions queued, a command may start (`next_sched`).
+    /// Every earlier tick is the idle early-out, or with a non-empty queue
+    /// exactly `queue_wait_cycles += 1` — the bounds are the same ones the
+    /// tick itself trusts to skip its scans.
+    pub fn next_event(&self) -> Cycle {
+        if self.queue.is_empty() {
+            self.next_ready
+        } else {
+            self.next_ready.min(self.next_sched)
+        }
+    }
+
+    /// Queue-wait cycles that `cycles` ticks before
+    /// [`Sdram::next_event`] would count.
+    pub fn quiet_queue_wait(&self, cycles: u64) -> u64 {
+        if self.queue.is_empty() {
+            0
+        } else {
+            cycles
+        }
+    }
+
+    /// Accounts for `cycles` ticks before [`Sdram::next_event`] without
+    /// running them: state is untouched, only the queue-wait counter moves.
+    pub fn skip(&mut self, cycles: u64) {
+        self.stats.queue_wait_cycles += self.quiet_queue_wait(cycles);
+    }
+
     /// Accumulated controller statistics.
     pub fn stats(&self) -> MemoryStats {
         self.stats
@@ -467,6 +497,33 @@ impl MainMemory {
         match self {
             MainMemory::Constant(m) => m.tick_into(now, done),
             MainMemory::Sdram(m) => m.tick_into(now, done),
+        }
+    }
+
+    /// The earliest cycle at which a tick can do more than count a
+    /// queue-wait cycle (see [`Sdram::next_event`]; constant memory only
+    /// ever acts when a transaction completes).
+    pub fn next_event(&self) -> Cycle {
+        match self {
+            MainMemory::Constant(m) => m.next_ready,
+            MainMemory::Sdram(m) => m.next_event(),
+        }
+    }
+
+    /// Queue-wait cycles that `cycles` ticks before
+    /// [`MainMemory::next_event`] would count.
+    pub fn quiet_queue_wait(&self, cycles: u64) -> u64 {
+        match self {
+            MainMemory::Constant(_) => 0,
+            MainMemory::Sdram(m) => m.quiet_queue_wait(cycles),
+        }
+    }
+
+    /// Accounts for `cycles` ticks before [`MainMemory::next_event`]
+    /// without running them.
+    pub fn skip(&mut self, cycles: u64) {
+        if let MainMemory::Sdram(m) = self {
+            m.skip(cycles);
         }
     }
 
@@ -695,5 +752,46 @@ mod tests {
             "one wait cycle for the second request's submission cycle"
         );
         assert_eq!(mem.in_service_len(), 0);
+    }
+
+    /// Jumping from tick to tick at `next_event` and crediting the cycles
+    /// in between through `skip` reproduces the every-cycle run exactly,
+    /// with a congested queue (bank conflicts, row hits, writes) so both
+    /// `next_ready` and `next_sched` bound the jumps.
+    #[test]
+    fn jumping_to_next_event_matches_every_cycle_ticks() {
+        let cfg = SdramConfig {
+            interleave: BankInterleave::Linear,
+            ..SdramConfig::baseline()
+        };
+        let lines: Vec<(u64, bool)> = (0..12u64)
+            .map(|i| (((i % 3) * 4096 + i) << 6, i % 4 == 3))
+            .collect();
+        let run = |jump: bool| {
+            let mut mem = Sdram::new(cfg);
+            let mut done = Vec::new();
+            let mut c = 0u64;
+            while c < 3_000 {
+                if c.is_multiple_of(40) && (c / 40) < lines.len() as u64 {
+                    let (line, write) = lines[(c / 40) as usize];
+                    assert!(mem.try_push(MemToken(c), Addr::new(line), write, Cycle::new(c)));
+                }
+                mem.tick_into(Cycle::new(c), &mut done);
+                let mut next = c + 1;
+                if jump {
+                    // The next push is an event too.
+                    let push = (c / 40 + 1) * 40;
+                    next = mem.next_event().raw().min(push).min(3_000).max(c + 1);
+                    mem.skip(next - c - 1);
+                }
+                c = next;
+            }
+            let done: Vec<_> = done.iter().map(|d| (d.token, d.finished_at)).collect();
+            (done, mem.stats())
+        };
+        let (every, every_stats) = run(false);
+        assert_eq!(every.len(), lines.len());
+        assert!(every_stats.queue_wait_cycles > 0 && every_stats.precharges > 0);
+        assert_eq!(run(true), (every, every_stats));
     }
 }

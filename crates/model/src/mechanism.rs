@@ -105,6 +105,22 @@ pub trait Mechanism {
         let _ = now;
     }
 
+    /// The first cycle after `now` at which [`tick`](Mechanism::tick) or
+    /// [`drain_spills`](Mechanism::drain_spills) could have any effect,
+    /// given the mechanism's current state.
+    ///
+    /// The detailed loop jumps over cycles at which nothing in the system
+    /// can act; this bound is the mechanism's say in how far. It only has
+    /// to hold while no other hook runs: any access, eviction, refill or
+    /// probe ends the jump, and the loop asks again afterwards. The
+    /// default, `now + 1`, forbids every jump and so is exact for any
+    /// mechanism; override it only with a bound the mechanism can prove
+    /// (return [`Cycle::NEVER`] when `tick` is a no-op and no spill is
+    /// pending).
+    fn next_tick(&self, now: Cycle) -> Cycle {
+        now + 1
+    }
+
     /// Capacity of the prefetch request queue the cache controller creates
     /// for this mechanism (Table 3's "Request Queue Size").
     fn request_queue_capacity(&self) -> usize {
@@ -291,6 +307,10 @@ impl Mechanism for BaseMechanism {
 
     fn warm_events_only(&self) -> bool {
         true // observes nothing, perturbs nothing
+    }
+
+    fn next_tick(&self, _now: Cycle) -> Cycle {
+        Cycle::NEVER
     }
 
     fn hardware(&self) -> HardwareBudget {

@@ -1,14 +1,21 @@
 //! A minimal JSON reader/writer — just enough for campaign specs and
 //! NDJSON result lines, std-only like the rest of the workspace.
 //!
-//! The parser is a plain recursive-descent over the RFC 8259 grammar;
-//! numbers are held as `f64` (campaign specs never need more than 53
-//! bits — seeds beyond that are passed as hex strings). Output goes the
-//! other way through [`escape`], which produces the canonical minimal
-//! escaping (`"`, `\`, control characters).
+//! The parser is a plain recursive-descent over the RFC 8259 grammar,
+//! bounded to [`MAX_DEPTH`] nested arrays/objects so hostile input gets
+//! an `Err` instead of a stack overflow; numbers are held as `f64`
+//! (campaign specs never need more than 53 bits — seeds beyond that are
+//! passed as hex strings). Output goes the other way through
+//! [`escape`], which produces the canonical minimal escaping (`"`, `\`,
+//! control characters).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// The deepest array/object nesting [`Json::parse`] accepts. Campaign
+/// specs nest three levels; the bound keeps both the recursive parser
+/// and the recursive drop of a parsed value far from the stack's end.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -37,6 +44,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             at: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -89,6 +97,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     at: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -109,8 +119,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.bytes.get(self.at) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -118,6 +128,21 @@ impl Parser<'_> {
             Some(_) => self.number(),
             None => Err("unexpected end of input".to_owned()),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.at
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
@@ -312,6 +337,17 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\":}", "nul", "1 2", "\"\\q\""] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        // Far past any stack: rejected, not a crash (unterminated too).
+        assert!(Json::parse(&"[".repeat(1 << 20)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(1 << 16)).is_err());
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::{json, spec};
 use microlib::{ArtifactStore, FinishGuard, LeaseManager};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -134,7 +134,6 @@ impl Server {
         }
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
             store: Arc::clone(&store),
             metrics: Metrics::default(),
@@ -191,6 +190,16 @@ impl Server {
     pub fn shutdown(&mut self) {
         self.shared.drain.store(true, Ordering::SeqCst);
         if let Some(accept) = self.accept.take() {
+            // The accept loop blocks in `accept`; one loopback connection
+            // wakes it to see the drain flag.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect(wake);
             let _ = accept.join();
         }
         {
@@ -214,9 +223,15 @@ impl Drop for Server {
     }
 }
 
+/// Blocks in `accept` until a connection arrives; [`Server::shutdown`]
+/// sets the drain flag and then connects once to wake it.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
-        match listener.accept() {
+        let accepted = listener.accept();
+        if shared.drain.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 {
                     let mut state = shared.state.lock().expect("queue lock");
@@ -239,18 +254,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                     shared.idle_cv.notify_all();
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if shared.drain.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => {
-                if shared.drain.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
+            // A failed accept (e.g. out of file descriptors) can repeat
+            // at once; back off instead of spinning on it.
+            Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
     }
 }

@@ -294,3 +294,27 @@ fn study_set_stats_match_recorded_golden() {
         "no recorded digest for: {missing:?}"
     );
 }
+
+/// TK opts in to quiet-cycle jumps through `Mechanism::next_tick` (its
+/// refresh scan runs every 512 cycles), TKVC through its spill check:
+/// both must still reproduce their recorded fingerprints, and TK's
+/// refresh scan must still have run — a jump past a refresh boundary
+/// would lose its table reads.
+#[test]
+fn timekeeping_cells_reproduce_fingerprints() {
+    for kind in [MechanismKind::Tk, MechanismKind::Tkvc] {
+        for seed in SEEDS {
+            let r = run(kind, seed);
+            let name = format!("{kind:?}");
+            let want = GOLDEN
+                .iter()
+                .find(|(k, s, _)| *k == name && *s == seed)
+                .map(|(_, _, want)| *want)
+                .expect("recorded digest");
+            assert_eq!(digest(&r), want, "{name} seed {seed} drifted");
+            if kind == MechanismKind::Tk {
+                assert!(r.mechanism_stats().table_reads > 0, "no refresh scan ran");
+            }
+        }
+    }
+}

@@ -176,6 +176,29 @@ fn overload_rejects_with_retry_after() {
     drop(server);
 }
 
+/// A hostile body nesting far deeper than any thread stack (10 KB of
+/// `[`) is answered 400, not a stack overflow that aborts the daemon:
+/// `/healthz` still answers afterwards.
+#[test]
+fn deeply_nested_body_is_rejected_and_daemon_survives() {
+    let (server, client) = boot(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    match client
+        .campaign(&"[".repeat(10_000))
+        .expect("campaign request")
+    {
+        CampaignOutcome::Rejected(response) => {
+            assert_eq!(response.status, 400);
+            assert!(response.body.contains("nesting"), "{}", response.body);
+        }
+        CampaignOutcome::Completed(_) => panic!("hostile body accepted"),
+    }
+    assert!(client.healthz().expect("healthz after the hostile body"));
+    drop(server);
+}
+
 /// `/metrics` counters move exactly with the requests served, the
 /// gauges settle to zero when the daemon is idle, and the store's
 /// counters agree with what the campaign actually computed.
