@@ -1,10 +1,9 @@
 //! Simulator-throughput measurement for the committed perf trajectory.
 //!
-//! The criterion benches (`cargo bench -p microlib-bench`) are the
-//! interactive tool; this binary is the *recorded* one: it times the same
-//! `simulator/*` workloads — plus the memory-side substrate benches the
-//! hot loop is built from — with a plain best-of-batches harness and
-//! writes machine-readable rows, so every PR can commit a
+//! The workspace's recorded benchmark harness: it times the `simulator/*`
+//! workloads — plus the memory-side substrate benches the hot loop is
+//! built from, and a warm serve query — with a plain best-of-batches
+//! harness and writes machine-readable rows, so every PR can commit a
 //! `BENCH_<pr>.json` snapshot and CI can fail on throughput regressions
 //! the same way the golden gate fails on CPI drift.
 //!
@@ -34,7 +33,7 @@ use microlib_trace::{benchmarks, TraceBuffer, TraceWindow, Workload};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Instructions simulated per iteration (matches the criterion benches).
+/// Instructions simulated per `simulator/*` iteration.
 const INSTS: u64 = 5_000;
 /// The bench the CI regression gate tracks most tightly.
 const HEADLINE: &str = "simulator/swim_Base_5k_insts";

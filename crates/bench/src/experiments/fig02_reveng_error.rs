@@ -8,7 +8,7 @@
 
 use crate::Context;
 use microlib::report::{pct, text_table};
-use microlib::{article_speedup_with, SetupComparison};
+use microlib::{article_speedup, SetupComparison};
 use microlib_mech::MechanismKind;
 use microlib_trace::benchmarks;
 use rayon::prelude::*;
@@ -44,7 +44,7 @@ pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
                     Ok(SetupComparison {
                         benchmark: (*bench).to_owned(),
                         ours: matrix.speedup(bench, kind),
-                        article_setup: article_speedup_with(&store, kind, bench, article, seed)?,
+                        article_setup: article_speedup(&store, kind, bench, article, seed)?,
                     })
                 })
                 .collect::<Vec<Result<_, microlib::SimError>>>()

@@ -5,7 +5,7 @@
 //! implementation.
 
 use crate::Context;
-use microlib::compare_dbcp_variants_with;
+use microlib::compare_dbcp_variants;
 use microlib::report::{pct, text_table};
 use microlib_trace::benchmarks;
 use rayon::prelude::*;
@@ -29,7 +29,7 @@ pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
     let comparisons = crate::par_pool().install(|| {
         benchmarks::NAMES
             .par_iter()
-            .map(|bench| compare_dbcp_variants_with(&store, bench, window, seed))
+            .map(|bench| compare_dbcp_variants(&store, bench, window, seed))
             .collect::<Vec<_>>()
     });
     let mut rows = Vec::new();

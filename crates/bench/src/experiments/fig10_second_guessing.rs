@@ -5,11 +5,12 @@
 
 use crate::Context;
 use microlib::report::{pct, text_table};
-use microlib::run_custom_keyed;
+use microlib::{execute, Cell};
 use microlib_mech::{MechanismKind, TagCorrelatingPrefetcher};
 use microlib_trace::benchmarks;
 use rayon::prelude::*;
 use std::io::{self, Write};
+use std::sync::Arc;
 
 /// Runs the TCP queue-size second-guessing study.
 ///
@@ -23,7 +24,7 @@ pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
         "Fig 10 (Effect of second-guessing: TCP prefetch queue size)",
         "TCP speedup with a 128-entry vs a 1-entry request queue, per benchmark",
     )?;
-    let cfg = std::sync::Arc::new(microlib_model::SystemConfig::baseline());
+    let cfg = Arc::new(microlib_model::SystemConfig::baseline());
     let opts = crate::std_options();
     // The Base and default-queue (128) TCP cells ARE standard-campaign
     // cells; only the 1-entry variant needs fresh simulation (one run per
@@ -35,20 +36,14 @@ pub fn run(cx: &mut Context, w: &mut dyn Write) -> io::Result<()> {
             .par_iter()
             .map(|bench| {
                 let base = matrix.result(bench, MechanismKind::Base);
-                // Keyed (not opaque) custom run: "queue=1" covers the one
-                // way this instance differs from the stock TCP, so the
-                // cell is memoizable — and disk-cacheable — like any
-                // standard-campaign cell.
-                let q1 = run_custom_keyed(
-                    &store,
-                    &cfg,
-                    Box::new(TagCorrelatingPrefetcher::with_queue_capacity(1)),
-                    MechanismKind::Tcp,
-                    "queue=1",
-                    bench,
-                    &opts,
-                )
-                .expect("TCP/1 runs");
+                // "queue=1" covers the one way this instance differs from
+                // the stock TCP, so the cell is memoizable — and
+                // disk-cacheable — like any standard-campaign cell.
+                let cell = Cell::new(Arc::clone(&cfg), MechanismKind::Tcp, bench, opts)
+                    .custom("queue=1", || {
+                        Box::new(TagCorrelatingPrefetcher::with_queue_capacity(1))
+                    });
+                let q1 = execute(&store, &cell).expect("TCP/1 runs");
                 q1.perf.speedup_over(&base.perf)
             })
             .collect()

@@ -3,7 +3,7 @@
 //! Every experiment is a plain function `run(cx, w)`: shared sweeps come
 //! from the [`Context`] (so a battery run computes the
 //! standard campaign once), and all deterministic output goes to `w`
-//! (stdout for the standalone binaries, a capture buffer for `run_all`).
+//! (a capture buffer `run_all` writes to `results/`).
 //! Progress and timing go to stderr only — result tables must be
 //! bit-identical across runs and thread counts.
 

@@ -1,9 +1,10 @@
 //! # microlib-bench
 //!
 //! Experiment harnesses that regenerate every figure and table of the
-//! MicroLib paper. Each `fig*`/`tab*` binary prints the same rows/series
-//! the paper reports; `run_all` executes the full battery **in process**,
-//! sharing one standard campaign across every experiment that needs it.
+//! MicroLib paper. Each `fig*`/`tab*` experiment module prints the same
+//! rows/series the paper reports; `run_all` executes the battery **in
+//! process** (`--only <name>` selects single experiments), sharing one
+//! standard campaign across every experiment that needs it.
 //! See DESIGN.md §6 for the experiment index and EXPERIMENTS.md for
 //! measured-vs-paper notes.
 //!
@@ -144,7 +145,7 @@ fn env_u64(name: &str, default: u64) -> u64 {
 ///
 /// Per-cell failures are all reported (coordinates + cause) before the
 /// sweep panics — one bad cell no longer masks the rest of a sweep's
-/// diagnostics. Standalone binaries abort on the panic (the historical
+/// diagnostics. Direct callers abort on the panic (the historical
 /// `.expect("sweep runs")` behavior); `run_all` catches it per
 /// experiment so one failing experiment cannot sink the battery.
 ///

@@ -20,8 +20,9 @@
 //!   sampled window, computed once per benchmark and reused by every
 //!   mechanism column;
 //! - **cell results** ([`RunResult`]): memoized by full content key
-//!   (benchmark, mechanism, seed, window, options — including the
-//!   sampling mode — and configuration), so re-sweeps and overlapping
+//!   ([`Cell::key`](crate::Cell::key): benchmark, mechanism, seed, window,
+//!   options — including the sampling mode — configuration and, for
+//!   custom mechanisms, the variant tag), so re-sweeps and overlapping
 //!   experiments get identical cells for free.
 //!
 //! Sharing never changes results: replayed traces are
@@ -54,8 +55,7 @@
 use crate::disk::DiskCache;
 use crate::lease::{Claim, LeaseManager};
 use crate::shard::ShardSpec;
-use crate::simulator::{RunResult, SimError, SimOptions};
-use microlib_mech::MechanismKind;
+use crate::simulator::{RunResult, SimError};
 use microlib_mem::{capture_warm_state, WarmState};
 use microlib_model::codec::{BinCodec, Decoder, Encoder};
 use microlib_model::SystemConfig;
@@ -216,7 +216,7 @@ impl ArtifactStoreStats {
 /// # Examples
 ///
 /// ```
-/// use microlib::{run_one_with, ArtifactStore, SimOptions};
+/// use microlib::{execute, ArtifactStore, Cell, SimOptions};
 /// use microlib_mech::MechanismKind;
 /// use microlib_model::SystemConfig;
 /// use microlib_trace::TraceWindow;
@@ -228,9 +228,10 @@ impl ArtifactStoreStats {
 ///     window: TraceWindow::new(2_000, 1_000),
 ///     ..SimOptions::default()
 /// };
-/// let a = run_one_with(&store, &config, MechanismKind::Ghb, "swim", &opts)?;
+/// let cell = Cell::new(config, MechanismKind::Ghb, "swim", opts);
+/// let a = execute(&store, &cell)?;
 /// // Identical request: served from the memo cache, same result.
-/// let b = run_one_with(&store, &config, MechanismKind::Ghb, "swim", &opts)?;
+/// let b = execute(&store, &cell)?;
 /// assert_eq!(a.perf, b.perf);
 /// assert_eq!(store.stats().memo_hits, 1);
 /// # Ok::<(), microlib::SimError>(())
@@ -744,24 +745,6 @@ impl ArtifactStore {
     pub fn clear_warm_states(&self) {
         self.warm.lock().expect("warm map lock").clear();
         self.warm_bytes.store(0, Ordering::Relaxed);
-    }
-
-    pub(crate) fn memo_key(
-        config: &SystemConfig,
-        mechanism: MechanismKind,
-        benchmark: &str,
-        opts: &SimOptions,
-    ) -> String {
-        format!(
-            "{benchmark}|{mechanism:?}|seed={:#x}|window={}+{}|check={}|max={}|sampling={:?}|{}",
-            opts.seed,
-            opts.window.skip,
-            opts.window.simulate,
-            opts.check_values,
-            opts.max_cycles,
-            opts.sampling,
-            config_key(config),
-        )
     }
 
     /// RAM-then-disk memo lookup that counts *hits only* — a miss is not

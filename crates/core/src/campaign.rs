@@ -29,7 +29,7 @@
 
 use crate::artifacts::ArtifactStore;
 use crate::experiment::{ExperimentConfig, Matrix};
-use crate::simulator::{run_one, run_one_with, RunResult, SimError};
+use crate::simulator::{execute, Cell, RunResult, SimError};
 use microlib_mech::MechanismKind;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -195,6 +195,8 @@ impl Campaign {
         // One Arc'd configuration for the whole sweep: cells share it
         // instead of deep-cloning SystemConfig per run.
         let system = Arc::new(self.config.system.clone());
+        let disabled = ArtifactStore::disabled();
+        let store = self.store.as_deref().unwrap_or(&disabled);
 
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(self.effective_threads().clamp(1, total.max(1)))
@@ -206,10 +208,8 @@ impl Campaign {
             jobs.par_iter()
                 .map(|&(benchmark, mechanism)| {
                     let started = Instant::now();
-                    let outcome = match &self.store {
-                        Some(store) => run_one_with(store, &system, mechanism, benchmark, &opts),
-                        None => run_one(&self.config.system, mechanism, benchmark, &opts),
-                    };
+                    let cell = Cell::new(Arc::clone(&system), mechanism, benchmark, opts);
+                    let outcome = execute(store, &cell);
                     let elapsed = started.elapsed();
                     if let Some(progress) = &self.progress {
                         progress(&CellUpdate {

@@ -27,19 +27,27 @@
 //!
 //! ## Quick start
 //!
+//! Every simulation is one [`Cell`] (configuration, benchmark,
+//! mechanism, [`SimOptions`]) run by [`execute`]; the [`ArtifactStore`]
+//! shares traces and warm state between cells and memoizes results
+//! ([`run_one`] is the store-less shorthand).
+//!
 //! ```
-//! use microlib::{run_one, SimOptions};
+//! use microlib::{execute, ArtifactStore, Cell, SimOptions};
 //! use microlib_mech::MechanismKind;
 //! use microlib_model::SystemConfig;
 //! use microlib_trace::TraceWindow;
+//! use std::sync::Arc;
 //!
 //! let opts = SimOptions {
 //!     window: TraceWindow::new(0, 5_000),
 //!     ..SimOptions::default()
 //! };
-//! let config = SystemConfig::baseline_constant_memory();
-//! let base = run_one(&config, MechanismKind::Base, "swim", &opts)?;
-//! let ghb = run_one(&config, MechanismKind::Ghb, "swim", &opts)?;
+//! let config = Arc::new(SystemConfig::baseline_constant_memory());
+//! let store = ArtifactStore::new();
+//! let cell = |kind| Cell::new(Arc::clone(&config), kind, "swim", opts);
+//! let base = execute(&store, &cell(MechanismKind::Base))?;
+//! let ghb = execute(&store, &cell(MechanismKind::Ghb))?;
 //! println!(
 //!     "GHB speedup on swim: {:.3}",
 //!     ghb.perf.speedup_over(&base.perf)
@@ -47,8 +55,8 @@
 //! # Ok::<(), microlib::SimError>(())
 //! ```
 //!
-//! The `crates/bench` experiment binaries regenerate every figure and
-//! table of the paper; see `DESIGN.md` for the experiment index and
+//! The `crates/bench` experiment battery (`run_all`) regenerates every
+//! figure and table of the paper; see `DESIGN.md` for the experiment index and
 //! `EXPERIMENTS.md` for measured-vs-paper results.
 
 #![warn(missing_docs)]
@@ -81,13 +89,9 @@ pub use ranking::{
 pub use sampling::SamplingMode;
 pub use sensitivity::{benchmark_sensitivity, sensitivity_classes, BenchmarkSensitivity};
 pub use shard::ShardSpec;
-pub use simulator::{
-    run_custom, run_custom_keyed, run_custom_with, run_one, run_one_with, RunResult, SimError,
-    SimOptions,
-};
+pub use simulator::{execute, run_one, Cell, CustomMechanism, RunResult, SimError, SimOptions};
 pub use validation::{
-    article_speedup, article_speedup_with, compare_dbcp_variants, compare_dbcp_variants_with,
-    compare_fidelity, compare_fidelity_with, compare_setups, speedup_of, DbcpComparison,
+    article_speedup, compare_dbcp_variants, compare_fidelity, speedup_of, DbcpComparison,
     FidelityComparison, SetupComparison,
 };
 

@@ -3,8 +3,8 @@
 //! whole-window measurements.
 //!
 //! Sampling is a property of [`SimOptions`]: with
-//! [`SamplingMode::SimPoints`] every `run_one*` entry point (and therefore
-//! every campaign cell) turns into
+//! [`SamplingMode::SimPoints`] every cell [`execute`](crate::execute)
+//! runs — stock or custom, and therefore every campaign cell — turns into
 //!
 //! 1. a **plan** — BBV-profile the window, cluster the interval vectors,
 //!    keep a weighted representative (plus, for multi-member clusters, a
@@ -28,13 +28,11 @@
 //! and with the artifact store on or off.
 
 use crate::artifacts::ArtifactStore;
-use crate::simulator::{simulate, simulate_sampled, RunResult, SimError, SimOptions};
+use crate::simulator::{simulate, simulate_sampled, Cell, RunResult, SimError, SimOptions};
 use microlib_cpu::CoreStats;
 use microlib_mech::MechanismKind;
 use microlib_model::stats::{SampledPoint, SamplingEstimate};
-use microlib_model::{
-    CacheStats, MechanismStats, MemoryStats, PerfSummary, PrefetchQueueStats, SystemConfig,
-};
+use microlib_model::{CacheStats, MechanismStats, MemoryStats, PerfSummary, PrefetchQueueStats};
 use microlib_trace::{benchmarks, SamplingPlan, TraceWindow, Workload};
 use std::sync::Arc;
 
@@ -110,15 +108,13 @@ impl SamplingMode {
 }
 
 /// Computes (or fetches) the sampling plan and runs one detailed slice per
-/// representative interval, recombining the results. Called by the
-/// `run_one*` entry points when `opts.sampling` samples.
+/// representative interval, recombining the results. Called by
+/// [`execute`](crate::execute) when the cell's options sample.
 pub(crate) fn run_sampled(
     store: Option<&ArtifactStore>,
-    config: Arc<SystemConfig>,
-    label: MechanismKind,
-    benchmark: &str,
-    opts: &SimOptions,
+    cell: &Cell<'_>,
 ) -> Result<RunResult, SimError> {
+    let (benchmark, opts) = (cell.benchmark, &cell.opts);
     let SamplingMode::SimPoints {
         interval,
         max_clusters,
@@ -161,38 +157,13 @@ pub(crate) fn run_sampled(
     if windows.len() == 1 && windows[0] == opts.window {
         // Degenerate single-slice plan (window too short to cluster):
         // run it exactly as a full simulation would (bit-identical).
-        let child = SimOptions {
-            sampling: SamplingMode::Full,
-            ..*opts
-        };
-        let result = simulate(
-            store,
-            Arc::clone(&config),
-            label.build(),
-            label,
-            benchmark,
-            &child,
-            warm_start,
-        )?;
-        return Ok(combine(label, opts, &plan, vec![(1.0, result)]));
+        let result = simulate(store, cell, warm_start)?;
+        return Ok(combine(cell.mechanism, opts, &plan, vec![(1.0, result)]));
     }
 
-    let child = SimOptions {
-        sampling: SamplingMode::Full,
-        ..*opts
-    };
-    let parts = simulate_sampled(
-        store,
-        Arc::clone(&config),
-        label.build(),
-        label,
-        benchmark,
-        &child,
-        warm_start,
-        &windows,
-    )?;
+    let parts = simulate_sampled(store, cell, warm_start, &windows)?;
     let parts: Vec<(f64, RunResult)> = weights.into_iter().zip(parts).collect();
-    Ok(combine(label, opts, &plan, parts))
+    Ok(combine(cell.mechanism, opts, &plan, parts))
 }
 
 /// Recombines per-slice measurements into one weighted whole-window

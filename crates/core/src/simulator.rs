@@ -7,8 +7,8 @@ use microlib_cpu::{CoreStats, OoOCore};
 use microlib_mech::MechanismKind;
 use microlib_mem::{IntegrityError, MemorySystem};
 use microlib_model::{
-    CacheStats, ConfigError, Cycle, HardwareBudget, MechanismStats, MemoryStats, PerfSummary,
-    PrefetchQueueStats, SamplingEstimate, SystemConfig,
+    CacheStats, ConfigError, Cycle, HardwareBudget, Mechanism, MechanismStats, MemoryStats,
+    PerfSummary, PrefetchQueueStats, SamplingEstimate, SystemConfig,
 };
 use microlib_trace::{benchmarks, InstStream, TraceBuffer, TraceInst, TraceWindow, Workload};
 use std::fmt;
@@ -337,14 +337,140 @@ impl From<ConfigError> for SimError {
     }
 }
 
-/// Runs one (benchmark, mechanism, configuration) simulation on the
-/// legacy cold path (fresh trace generation, full warmup). Sweeps should
-/// prefer [`run_one_with`], which shares mechanism-independent artifacts.
+/// A caller-built mechanism for a [`Cell`]: the hook for parameter
+/// studies such as Fig 10's prefetch-queue-size sweep.
+///
+/// `variant` must name **every** construction parameter in which `build`
+/// differs from the stock mechanism of the cell's label: the memo key is
+/// the stock key plus `|variant=<variant>`, so two builds under one
+/// `(label, variant)` pair alias in the memo.
+#[derive(Clone, Copy, Debug)]
+pub struct CustomMechanism {
+    /// Tag covering the construction parameters (e.g. `"queue=1"`).
+    pub variant: &'static str,
+    /// Builds one fresh instance (called once per detailed pass).
+    pub build: fn() -> Box<dyn Mechanism>,
+}
+
+/// One simulation cell: a benchmark run on one system configuration with
+/// one mechanism attached, under fixed [`SimOptions`]. [`execute`] runs
+/// it; [`Cell::key`] is its content key in the [`ArtifactStore`] memo.
+#[derive(Clone, Debug)]
+pub struct Cell<'a> {
+    /// The system configuration (shared, so sweeps never deep-clone it).
+    pub config: Arc<SystemConfig>,
+    /// Benchmark registry name (an unknown name fails at execution).
+    pub benchmark: &'a str,
+    /// The mechanism: the stock one built from this kind, or — with
+    /// [`custom`](Cell::custom) — the label the result rows carry.
+    pub mechanism: MechanismKind,
+    /// Window, seed, sampling and the other run options.
+    pub opts: SimOptions,
+    /// A caller-built mechanism replacing the stock build, if any.
+    pub custom: Option<CustomMechanism>,
+}
+
+impl<'a> Cell<'a> {
+    /// A cell running the stock `mechanism`.
+    pub fn new(
+        config: Arc<SystemConfig>,
+        mechanism: MechanismKind,
+        benchmark: &'a str,
+        opts: SimOptions,
+    ) -> Self {
+        Cell {
+            config,
+            benchmark,
+            mechanism,
+            opts,
+            custom: None,
+        }
+    }
+
+    /// This cell with `build` replacing the stock mechanism, labelled by
+    /// the cell's mechanism kind and keyed by `variant` (see
+    /// [`CustomMechanism`] for the contract `variant` must keep).
+    pub fn custom(self, variant: &'static str, build: fn() -> Box<dyn Mechanism>) -> Self {
+        Cell {
+            custom: Some(CustomMechanism { variant, build }),
+            ..self
+        }
+    }
+
+    /// The memo key: every input the result depends on — benchmark,
+    /// mechanism label, seed, window, value checking, cycle budget,
+    /// sampling mode, the [`config_key`](crate::config_key) of the
+    /// configuration and, for custom cells, `|variant=<tag>`.
+    pub fn key(&self) -> String {
+        let opts = &self.opts;
+        let mut key = format!(
+            "{}|{:?}|seed={:#x}|window={}+{}|check={}|max={}|sampling={:?}|{}",
+            self.benchmark,
+            self.mechanism,
+            opts.seed,
+            opts.window.skip,
+            opts.window.simulate,
+            opts.check_values,
+            opts.max_cycles,
+            opts.sampling,
+            crate::config_key(&self.config),
+        );
+        if let Some(custom) = &self.custom {
+            key.push_str("|variant=");
+            key.push_str(custom.variant);
+        }
+        key
+    }
+
+    /// A fresh instance of the cell's mechanism.
+    fn build(&self) -> Box<dyn Mechanism> {
+        match &self.custom {
+            Some(custom) => (custom.build)(),
+            None => self.mechanism.build(),
+        }
+    }
+}
+
+/// Runs one cell — the single simulation entry point.
+///
+/// A [disabled](ArtifactStore::disabled) store takes the cold path: fresh
+/// trace generation and full warm-up. An enabled store shares the
+/// mechanism-independent artifacts (the trace buffer and, for mechanisms
+/// whose warm-up is event-replayable, the warm checkpoint) and serves
+/// repeated cells from its memo under [`Cell::key`], custom cells
+/// included. Results are bit-identical either way.
 ///
 /// # Errors
 ///
 /// Returns a [`SimError`] for invalid configurations, unknown benchmarks,
-/// value-integrity violations, or cycle-budget exhaustion.
+/// value-integrity violations, cycle-budget exhaustion, or (under a lease
+/// manager) a quarantined cell.
+pub fn execute(store: &ArtifactStore, cell: &Cell<'_>) -> Result<RunResult, SimError> {
+    if !store.is_enabled() {
+        return simulate_cell(None, cell);
+    }
+    let key = cell.key();
+    if let Some(hit) = store.memo_probe(&key) {
+        return Ok((*hit).clone());
+    }
+    let (benchmark, mechanism) = (cell.benchmark, cell.mechanism);
+    let label = match &cell.custom {
+        Some(custom) => format!("{benchmark} x {mechanism} [{}]", custom.variant),
+        None => format!("{benchmark} x {mechanism}"),
+    };
+    let result = store.memo_run(&key, &label, benchmark, &repro_hint(&cell.opts), || {
+        crate::fault::trigger("cell", &format!("{benchmark}+{mechanism}"));
+        simulate_cell(Some(store), cell)
+    })?;
+    Ok((*result).clone())
+}
+
+/// Runs one cell on the cold path, without any store — shorthand for
+/// [`execute`] over a [disabled](ArtifactStore::disabled) store.
+///
+/// # Errors
+///
+/// Same conditions as [`execute`].
 ///
 /// # Examples
 ///
@@ -374,81 +500,17 @@ pub fn run_one(
     benchmark: &str,
     opts: &SimOptions,
 ) -> Result<RunResult, SimError> {
-    if opts.sampling.is_sampled() {
-        return run_sampled(None, Arc::new(config.clone()), mechanism, benchmark, opts);
-    }
-    simulate(
-        None,
-        Arc::new(config.clone()),
-        mechanism.build(),
-        mechanism,
-        benchmark,
-        opts,
-        0,
-    )
+    let cell = Cell::new(Arc::new(config.clone()), mechanism, benchmark, *opts);
+    execute(&ArtifactStore::disabled(), &cell)
 }
 
-/// Like [`run_one`], but sharing mechanism-independent artifacts through
-/// `store`: the trace buffer and (for mechanisms whose warmup is
-/// event-replayable) the warm checkpoint are computed once per
-/// (benchmark, configuration) and reused, and identical cells are served
-/// from the store's result memo. Results are bit-identical to
-/// [`run_one`]'s.
-///
-/// A [disabled](ArtifactStore::disabled) store routes straight to the
-/// cold path.
-///
-/// # Errors
-///
-/// Same conditions as [`run_one`].
-pub fn run_one_with(
-    store: &ArtifactStore,
-    config: &Arc<SystemConfig>,
-    mechanism: MechanismKind,
-    benchmark: &str,
-    opts: &SimOptions,
-) -> Result<RunResult, SimError> {
-    if !store.is_enabled() {
-        if opts.sampling.is_sampled() {
-            return run_sampled(None, Arc::clone(config), mechanism, benchmark, opts);
-        }
-        return simulate(
-            None,
-            Arc::clone(config),
-            mechanism.build(),
-            mechanism,
-            benchmark,
-            opts,
-            0,
-        );
+/// Simulates `cell` in full or sampled, as its options ask.
+fn simulate_cell(store: Option<&ArtifactStore>, cell: &Cell<'_>) -> Result<RunResult, SimError> {
+    if cell.opts.sampling.is_sampled() {
+        run_sampled(store, cell)
+    } else {
+        simulate(store, cell, 0)
     }
-    let key = ArtifactStore::memo_key(config, mechanism, benchmark, opts);
-    if let Some(hit) = store.memo_probe(&key) {
-        return Ok((*hit).clone());
-    }
-    let result = store.memo_run(
-        &key,
-        &format!("{benchmark} x {mechanism}"),
-        benchmark,
-        &repro_hint(opts),
-        || {
-            crate::fault::trigger("cell", &format!("{benchmark}+{mechanism}"));
-            if opts.sampling.is_sampled() {
-                run_sampled(Some(store), Arc::clone(config), mechanism, benchmark, opts)
-            } else {
-                simulate(
-                    Some(store),
-                    Arc::clone(config),
-                    mechanism.build(),
-                    mechanism,
-                    benchmark,
-                    opts,
-                    0,
-                )
-            }
-        },
-    )?;
-    Ok((*result).clone())
 }
 
 /// The environment part of a quarantined cell's minimized repro command:
@@ -461,137 +523,48 @@ fn repro_hint(opts: &SimOptions) -> String {
     )
 }
 
-/// Like [`run_one`] but with a caller-constructed mechanism instance —
-/// the hook for parameter studies such as Fig 10's prefetch-queue-size
-/// sweep. `label` tags the result rows.
-///
-/// The [`sampling`](SimOptions::sampling) option is ignored: sampled runs
-/// re-instantiate the mechanism per representative interval, which an
-/// opaque instance cannot support, so custom runs always simulate the
-/// full window.
-///
-/// # Errors
-///
-/// Same conditions as [`run_one`].
-pub fn run_custom(
-    config: &SystemConfig,
-    mech: Box<dyn microlib_model::Mechanism>,
-    label: MechanismKind,
-    benchmark: &str,
-    opts: &SimOptions,
-) -> Result<RunResult, SimError> {
-    simulate(
-        None,
-        Arc::new(config.clone()),
-        mech,
-        label,
-        benchmark,
-        opts,
-        0,
-    )
+/// A cell's system after the warm phase, ready for detailed simulation.
+struct Warmed {
+    /// The benchmark's registry name.
+    benchmark: &'static str,
+    /// The mechanism's hardware inventory.
+    hardware: HardwareBudget,
+    mem: MemorySystem,
+    /// The instruction stream, positioned at the window start.
+    stream: InstStream,
 }
 
-/// Like [`run_custom`], but sharing trace and warm artifacts through
-/// `store`. Caller-constructed mechanisms are opaque, so — unlike
-/// [`run_one_with`] — results are **not** memoized (and, as with
-/// [`run_custom`], the sampling option is ignored); only the
-/// mechanism-independent artifacts are shared.
+/// The prologue both detailed drivers share: resolves the benchmark,
+/// builds the memory system around a fresh mechanism and warms it —
+/// functional memory initialized, caches and mechanism tables warmed
+/// over `[warm_start, skip)` (`warm_start` is clamped to the window
+/// start), the instruction stream positioned at `skip`.
 ///
-/// # Errors
-///
-/// Same conditions as [`run_one`].
-pub fn run_custom_with(
-    store: &ArtifactStore,
-    config: &Arc<SystemConfig>,
-    mech: Box<dyn microlib_model::Mechanism>,
-    label: MechanismKind,
-    benchmark: &str,
-    opts: &SimOptions,
-) -> Result<RunResult, SimError> {
-    let store = store.is_enabled().then_some(store);
-    simulate(store, Arc::clone(config), mech, label, benchmark, opts, 0)
-}
-
-/// Like [`run_custom_with`], but memoizable: the caller supplies a
-/// `variant` tag that — together with the label and the regular content
-/// key — uniquely identifies the custom mechanism's construction (e.g.
-/// `"queue=1"` for a TCP built with a 1-entry request queue). With that
-/// contract the result can be served from the store's memo (including its
-/// on-disk tier), which plain [`run_custom_with`] must never do for an
-/// opaque instance.
-///
-/// The caller is responsible for `variant` covering **every** parameter
-/// the instance was built with; two different instances under the same
-/// `(label, variant)` would alias in the memo.
-///
-/// As with [`run_custom`], the sampling option is ignored (custom runs
-/// always simulate the full window).
-///
-/// # Errors
-///
-/// Same conditions as [`run_one`].
-#[allow(clippy::too_many_arguments)] // run_custom_with plus the variant tag
-pub fn run_custom_keyed(
-    store: &ArtifactStore,
-    config: &Arc<SystemConfig>,
-    mech: Box<dyn microlib_model::Mechanism>,
-    label: MechanismKind,
-    variant: &str,
-    benchmark: &str,
-    opts: &SimOptions,
-) -> Result<RunResult, SimError> {
-    if !store.is_enabled() {
-        return simulate(None, Arc::clone(config), mech, label, benchmark, opts, 0);
-    }
-    let key = format!(
-        "{}|variant={variant}",
-        ArtifactStore::memo_key(config, label, benchmark, opts)
-    );
-    if let Some(hit) = store.memo_probe(&key) {
-        return Ok((*hit).clone());
-    }
-    let result = store.memo_run(
-        &key,
-        &format!("{benchmark} x {label} [{variant}]"),
-        benchmark,
-        &repro_hint(opts),
-        || {
-            crate::fault::trigger("cell", &format!("{benchmark}+{label}"));
-            simulate(
-                Some(store),
-                Arc::clone(config),
-                mech,
-                label,
-                benchmark,
-                opts,
-                0,
-            )
-        },
-    )?;
-    Ok((*result).clone())
-}
-
-/// Builds the warmed system for a run: functional memory initialized,
-/// caches and mechanism tables warmed over `[warm_start, skip)`, and the
-/// instruction stream positioned at `skip`. With a store, the trace comes
-/// from the shared [`TraceBuffer`] (grown to `trace_len`) and the warm
-/// phase either restores the shared checkpoint + replays the recorded
-/// mechanism events (mechanisms that opt in via
+/// With a store, the trace comes from the shared [`TraceBuffer`] (grown
+/// to `trace_len`) and the warm phase either restores the shared
+/// checkpoint + replays the recorded mechanism events (mechanisms that
+/// opt in via
 /// [`warm_events_only`](microlib_model::Mechanism::warm_events_only)) or
 /// runs the exact full warm path over the shared trace (everything else).
 /// Without a store, the legacy path: generate, initialize, warm.
-#[allow(clippy::too_many_arguments)] // one bundle per warm-phase input
 fn warmed_system(
     store: Option<&ArtifactStore>,
-    config: &Arc<SystemConfig>,
-    mem: &mut MemorySystem,
-    warm_replayable: bool,
-    benchmark: &'static str,
-    opts: &SimOptions,
+    cell: &Cell<'_>,
     warm_start: u64,
     trace_len: u64,
-) -> Result<InstStream, SimError> {
+) -> Result<Warmed, SimError> {
+    let profile = benchmarks::by_name(cell.benchmark)
+        .ok_or_else(|| SimError::UnknownBenchmark(cell.benchmark.to_owned()))?;
+    let benchmark = profile.name;
+    let (config, opts) = (&cell.config, &cell.opts);
+    let mech = cell.build();
+    let hardware = mech.hardware();
+    let warm_replayable = mech.warm_events_only();
     let skip = opts.window.skip;
+    let warm_start = warm_start.min(skip);
+
+    let mut mem = MemorySystem::new(Arc::clone(config), vec![mech])?;
+    mem.set_check_values(opts.check_values);
     let stream = match store {
         Some(store) => {
             let (workload, buffer) = store.trace(benchmark, opts.seed, trace_len)?;
@@ -617,27 +590,31 @@ fn warmed_system(
                     // mechanisms, first requesters, or nothing to skip).
                     workload.initialize(mem.functional_mut());
                     stream.advance_to(warm_start);
-                    warm_loop(mem, &mut stream, skip - warm_start);
+                    warm_loop(&mut mem, &mut stream, skip - warm_start);
                 }
             }
             stream
         }
         None => {
-            let profile = benchmarks::by_name(benchmark).expect("resolved by the caller");
             // Shared instantiation: layout is paid once per (benchmark,
             // seed) process-wide, not once per run.
             let workload = Workload::shared(profile, opts.seed);
             workload.initialize(mem.functional_mut());
             let mut stream = workload.stream();
             stream.advance_to(warm_start);
-            warm_loop(mem, &mut stream, skip - warm_start);
+            warm_loop(&mut mem, &mut stream, skip - warm_start);
             stream
         }
     };
-    Ok(stream)
+    Ok(Warmed {
+        benchmark,
+        hardware,
+        mem,
+        stream,
+    })
 }
 
-/// The full-window simulation driver behind every `run_*` entry point.
+/// The full-window simulation driver behind [`execute`].
 ///
 /// `warm_start` truncates the functional warm phase to the instructions
 /// in `[warm_start, skip)` — `0` (every full-mode run) warms the whole
@@ -648,35 +625,19 @@ fn warmed_system(
 /// architectural state — the accuracy trade the budget buys).
 pub(crate) fn simulate(
     store: Option<&ArtifactStore>,
-    config: Arc<SystemConfig>,
-    mech: Box<dyn microlib_model::Mechanism>,
-    label: MechanismKind,
-    benchmark: &str,
-    opts: &SimOptions,
+    cell: &Cell<'_>,
     warm_start: u64,
 ) -> Result<RunResult, SimError> {
-    let profile = benchmarks::by_name(benchmark)
-        .ok_or_else(|| SimError::UnknownBenchmark(benchmark.to_owned()))?;
-    let benchmark: &'static str = profile.name;
-    let hardware = mech.hardware();
-    let warm_replayable = mech.warm_events_only();
-    let warm_start = warm_start.min(opts.window.skip);
-
-    let mut mem = MemorySystem::new(Arc::clone(&config), vec![mech])?;
-    mem.set_check_values(opts.check_values);
-    let mut stream = warmed_system(
-        store,
-        &config,
-        &mut mem,
-        warm_replayable,
+    let opts = &cell.opts;
+    let Warmed {
         benchmark,
-        opts,
-        warm_start,
-        opts.window.end(),
-    )?;
+        hardware,
+        mut mem,
+        mut stream,
+    } = warmed_system(store, cell, warm_start, opts.window.end())?;
     let start = mem.finish_warmup();
 
-    let mut core = OoOCore::new(config.core);
+    let mut core = OoOCore::new(cell.config.core);
     let mut trace = stream.by_ref().take(opts.window.simulate as usize);
     let budget = opts.cycle_budget() + start.raw();
     let mut now = start;
@@ -691,7 +652,7 @@ pub(crate) fn simulate(
     )?;
 
     let measured = StatsSnapshot::capture(core.stats(), &mem);
-    Ok(result_from(benchmark, label, hardware, &measured))
+    Ok(result_from(benchmark, cell.mechanism, hardware, &measured))
 }
 
 /// One measured region of a sampled cell's detailed stretch, in committed
@@ -762,41 +723,24 @@ fn build_stretches(windows: &[TraceWindow], floor: u64) -> Vec<Stretch> {
 ///
 /// Returns one measured part per plan point, in plan order, each shaped
 /// like a [`RunResult`] of its slice.
-#[allow(clippy::too_many_arguments)] // mirrors `simulate` plus the plan
 pub(crate) fn simulate_sampled(
     store: Option<&ArtifactStore>,
-    config: Arc<SystemConfig>,
-    mech: Box<dyn microlib_model::Mechanism>,
-    label: MechanismKind,
-    benchmark: &str,
-    opts: &SimOptions,
+    cell: &Cell<'_>,
     warm_start: u64,
     windows: &[TraceWindow],
 ) -> Result<Vec<RunResult>, SimError> {
-    let profile = benchmarks::by_name(benchmark)
-        .ok_or_else(|| SimError::UnknownBenchmark(benchmark.to_owned()))?;
-    let benchmark: &'static str = profile.name;
-    let hardware = mech.hardware();
-    let warm_replayable = mech.warm_events_only();
-    let warm_start = warm_start.min(opts.window.skip);
+    let (opts, label) = (&cell.opts, cell.mechanism);
     let stretches = build_stretches(windows, opts.window.skip);
     let trace_len = stretches
         .last()
         .map(|s| s.start + s.feed)
         .unwrap_or(opts.window.end());
-
-    let mut mem = MemorySystem::new(Arc::clone(&config), vec![mech])?;
-    mem.set_check_values(opts.check_values);
-    let mut stream = warmed_system(
-        store,
-        &config,
-        &mut mem,
-        warm_replayable,
+    let Warmed {
         benchmark,
-        opts,
-        warm_start,
-        trace_len,
-    )?;
+        hardware,
+        mut mem,
+        mut stream,
+    } = warmed_system(store, cell, warm_start, trace_len)?;
 
     let mut parts: Vec<RunResult> = Vec::with_capacity(windows.len());
     let mut now = mem.finish_warmup();
@@ -816,7 +760,7 @@ pub(crate) fn simulate_sampled(
             now = mem.finish_warmup();
         }
 
-        let mut core = OoOCore::new(config.core);
+        let mut core = OoOCore::new(cell.config.core);
         let mut trace = stream.by_ref().take(stretch.feed as usize);
         let budget = opts.cycle_budget_for(stretch.feed) + now.raw();
         let mut marks = stretch.marks.iter();

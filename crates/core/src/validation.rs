@@ -3,7 +3,7 @@
 //! initial-vs-fixed study (Fig 3).
 
 use crate::artifacts::ArtifactStore;
-use crate::simulator::{run_one, run_one_with, RunResult, SimError, SimOptions};
+use crate::simulator::{execute, Cell, RunResult, SimError, SimOptions};
 use microlib_mech::MechanismKind;
 use microlib_model::{FidelityConfig, MemoryModel, SystemConfig};
 use microlib_trace::TraceWindow;
@@ -31,27 +31,14 @@ impl FidelityComparison {
 }
 
 /// Runs Fig 1's comparison: the same benchmark + baseline cache under the
-/// detailed and the SimpleScalar-like fidelity models.
+/// detailed and the SimpleScalar-like fidelity models. Both runs draw the
+/// trace (and, per fidelity configuration, the warm state) from `store`,
+/// and repeated comparisons across a battery are served from its memo.
 ///
 /// # Errors
 ///
 /// Propagates any [`SimError`] from the underlying runs.
 pub fn compare_fidelity(
-    benchmark: &str,
-    window: TraceWindow,
-    seed: u64,
-) -> Result<FidelityComparison, SimError> {
-    compare_fidelity_with(&ArtifactStore::disabled(), benchmark, window, seed)
-}
-
-/// [`compare_fidelity`] with shared artifacts: both runs draw the trace
-/// (and, per fidelity configuration, the warm state) from `store`, and
-/// repeated comparisons across a battery are served from its memo.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the underlying runs.
-pub fn compare_fidelity_with(
     store: &ArtifactStore,
     benchmark: &str,
     window: TraceWindow,
@@ -66,10 +53,10 @@ pub fn compare_fidelity_with(
     detailed_cfg.fidelity = FidelityConfig::microlib();
     let mut idealized_cfg = detailed_cfg.clone();
     idealized_cfg.fidelity = FidelityConfig::simplescalar_like();
-    let (detailed_cfg, idealized_cfg) = (Arc::new(detailed_cfg), Arc::new(idealized_cfg));
+    let base = |cfg| Cell::new(Arc::new(cfg), MechanismKind::Base, benchmark, opts);
 
-    let detailed = run_one_with(store, &detailed_cfg, MechanismKind::Base, benchmark, &opts)?;
-    let idealized = run_one_with(store, &idealized_cfg, MechanismKind::Base, benchmark, &opts)?;
+    let detailed = execute(store, &base(detailed_cfg))?;
+    let idealized = execute(store, &base(idealized_cfg))?;
     Ok(FidelityComparison {
         benchmark: benchmark.to_owned(),
         detailed_ipc: detailed.perf.ipc(),
@@ -107,74 +94,20 @@ impl SetupComparison {
     }
 }
 
-/// Measures one mechanism's speedup under the reproduction's setup vs the
-/// validation setup the articles used ("2-billion instruction traces,
-/// skipping the first billion … original SimpleScalar 70-cycle constant
-/// latency memory model", scaled down).
+/// Speedup of `mechanism` on `benchmark` under the validation setup the
+/// original articles used ("2-billion instruction traces, skipping the
+/// first billion … original SimpleScalar 70-cycle constant latency memory
+/// model", scaled down to `article_window`): the article half of a
+/// [`SetupComparison`], whose standard-setup half is a campaign cell.
 ///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the four underlying runs.
-pub fn compare_setups(
-    mechanism: MechanismKind,
-    benchmark: &str,
-    our_window: TraceWindow,
-    article_window: TraceWindow,
-    seed: u64,
-) -> Result<SetupComparison, SimError> {
-    let ours_cfg = SystemConfig::baseline();
-    let our_opts = SimOptions {
-        seed,
-        window: our_window,
-        ..SimOptions::default()
-    };
-
-    let speedup = |cfg: &SystemConfig, opts: &SimOptions| -> Result<f64, SimError> {
-        let base = run_one(cfg, MechanismKind::Base, benchmark, opts)?;
-        let with = run_one(cfg, mechanism, benchmark, opts)?;
-        Ok(with.perf.speedup_over(&base.perf))
-    };
-
-    Ok(SetupComparison {
-        benchmark: benchmark.to_owned(),
-        ours: speedup(&ours_cfg, &our_opts)?,
-        article_setup: article_speedup(mechanism, benchmark, article_window, seed)?,
-    })
-}
-
-/// The article half of [`compare_setups`] alone: speedup of `mechanism`
-/// on `benchmark` under the original articles' setup (long arbitrary
-/// window, constant 70-cycle memory). Split out so harnesses that already
-/// hold the standard-setup speedup (from a campaign matrix) don't have to
-/// re-simulate it.
+/// The Base half of the pair is mechanism-independent, so across the
+/// per-mechanism loops of Fig 2 `store`'s memo computes it once per
+/// benchmark instead of once per mechanism.
 ///
 /// # Errors
 ///
 /// Any [`SimError`] from the two underlying runs.
 pub fn article_speedup(
-    mechanism: MechanismKind,
-    benchmark: &str,
-    article_window: TraceWindow,
-    seed: u64,
-) -> Result<f64, SimError> {
-    article_speedup_with(
-        &ArtifactStore::disabled(),
-        mechanism,
-        benchmark,
-        article_window,
-        seed,
-    )
-}
-
-/// [`article_speedup`] with shared artifacts. The Base half of the pair
-/// is mechanism-independent, so across the per-mechanism loops of Fig 2
-/// (and the DBCP study of Fig 3, which uses the same setup) the store's
-/// memo computes it once per benchmark instead of once per mechanism.
-///
-/// # Errors
-///
-/// Any [`SimError`] from the two underlying runs.
-pub fn article_speedup_with(
     store: &ArtifactStore,
     mechanism: MechanismKind,
     benchmark: &str,
@@ -190,9 +123,10 @@ pub fn article_speedup_with(
         window: article_window,
         ..SimOptions::default()
     };
-    let base = run_one_with(store, &cfg, MechanismKind::Base, benchmark, &opts)?;
-    let with = run_one_with(store, &cfg, mechanism, benchmark, &opts)?;
-    Ok(with.perf.speedup_over(&base.perf))
+    let cell = |mechanism| Cell::new(Arc::clone(&cfg), mechanism, benchmark, opts);
+    let base = execute(store, &cell(MechanismKind::Base))?;
+    let with = execute(store, &cell(mechanism))?;
+    Ok(speedup_of(&with, &base))
 }
 
 /// Fig 3: speedups of the initial (buggy) and fixed DBCP implementations
@@ -217,27 +151,15 @@ impl DbcpComparison {
     }
 }
 
-/// Runs Fig 3's initial-vs-fixed DBCP comparison on one benchmark.
+/// Runs Fig 3's initial-vs-fixed DBCP comparison on one benchmark. The
+/// three runs share one trace and warm state through `store`, and the
+/// Base run is memo-shared with any other experiment using the same
+/// setup.
 ///
 /// # Errors
 ///
 /// Propagates any [`SimError`] from the three underlying runs.
 pub fn compare_dbcp_variants(
-    benchmark: &str,
-    window: TraceWindow,
-    seed: u64,
-) -> Result<DbcpComparison, SimError> {
-    compare_dbcp_variants_with(&ArtifactStore::disabled(), benchmark, window, seed)
-}
-
-/// [`compare_dbcp_variants`] with shared artifacts: the three runs share
-/// one trace and warm state, and the Base run is memo-shared with any
-/// other experiment using the same setup.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the three underlying runs.
-pub fn compare_dbcp_variants_with(
     store: &ArtifactStore,
     benchmark: &str,
     window: TraceWindow,
@@ -249,13 +171,14 @@ pub fn compare_dbcp_variants_with(
         window,
         ..SimOptions::default()
     };
-    let base = run_one_with(store, &cfg, MechanismKind::Base, benchmark, &opts)?;
-    let initial = run_one_with(store, &cfg, MechanismKind::DbcpInitial, benchmark, &opts)?;
-    let fixed = run_one_with(store, &cfg, MechanismKind::Dbcp, benchmark, &opts)?;
+    let cell = |mechanism| Cell::new(Arc::clone(&cfg), mechanism, benchmark, opts);
+    let base = execute(store, &cell(MechanismKind::Base))?;
+    let initial = execute(store, &cell(MechanismKind::DbcpInitial))?;
+    let fixed = execute(store, &cell(MechanismKind::Dbcp))?;
     Ok(DbcpComparison {
         benchmark: benchmark.to_owned(),
-        initial: initial.perf.speedup_over(&base.perf),
-        fixed: fixed.perf.speedup_over(&base.perf),
+        initial: speedup_of(&initial, &base),
+        fixed: speedup_of(&fixed, &base),
     })
 }
 
@@ -270,7 +193,8 @@ mod tests {
 
     #[test]
     fn idealized_model_is_at_least_as_fast() {
-        let cmp = compare_fidelity("swim", TraceWindow::new(0, 4_000), 2).unwrap();
+        let store = ArtifactStore::disabled();
+        let cmp = compare_fidelity(&store, "swim", TraceWindow::new(0, 4_000), 2).unwrap();
         assert!(
             cmp.idealized_ipc >= cmp.detailed_ipc * 0.98,
             "removing hazards must not slow the machine: {cmp:?}"
@@ -289,20 +213,29 @@ mod tests {
 
     #[test]
     fn setup_comparison_runs() {
-        let cmp = compare_setups(
-            MechanismKind::Tp,
-            "gzip",
-            TraceWindow::new(0, 3_000),
-            TraceWindow::new(1_000, 3_000),
-            4,
-        )
-        .unwrap();
+        let store = ArtifactStore::disabled();
+        let opts = SimOptions {
+            seed: 4,
+            window: TraceWindow::new(0, 3_000),
+            ..SimOptions::default()
+        };
+        let cell =
+            |mechanism| Cell::new(Arc::new(SystemConfig::baseline()), mechanism, "gzip", opts);
+        let base = execute(&store, &cell(MechanismKind::Base)).unwrap();
+        let tp = execute(&store, &cell(MechanismKind::Tp)).unwrap();
+        let article = TraceWindow::new(1_000, 3_000);
+        let cmp = SetupComparison {
+            benchmark: "gzip".into(),
+            ours: speedup_of(&tp, &base),
+            article_setup: article_speedup(&store, MechanismKind::Tp, "gzip", article, 4).unwrap(),
+        };
         assert!(cmp.ours > 0.0 && cmp.article_setup > 0.0);
     }
 
     #[test]
     fn dbcp_variants_both_run() {
-        let cmp = compare_dbcp_variants("gzip", TraceWindow::new(0, 3_000), 6).unwrap();
+        let store = ArtifactStore::disabled();
+        let cmp = compare_dbcp_variants(&store, "gzip", TraceWindow::new(0, 3_000), 6).unwrap();
         assert!(cmp.initial > 0.0 && cmp.fixed > 0.0);
     }
 

@@ -109,9 +109,6 @@ enum L2Req {
         arrival: Cycle,
     },
     Writeback {
-        /// Kept for tracing/debug formatting of queued writebacks.
-        #[allow(dead_code)]
-        l2_line: Addr,
         arrival: Cycle,
     },
 }
@@ -464,12 +461,6 @@ impl MemorySystem {
         }
     }
 
-    #[allow(dead_code)] // symmetry with fresh_token; used by extensions
-    fn fresh_req(&mut self) -> ReqId {
-        self.next_req += 1;
-        ReqId(self.next_req)
-    }
-
     fn fresh_token(&mut self) -> MemToken {
         self.next_token += 1;
         MemToken(self.next_token)
@@ -478,16 +469,6 @@ impl MemorySystem {
     // ------------------------------------------------------------------
     // Data-coherent helpers (eager data, lazy timing).
     // ------------------------------------------------------------------
-
-    /// Reads the current 64-byte line value as seen below L1 (L2 if
-    /// present, else DRAM image).
-    #[allow(dead_code)] // useful for invariant checks and extensions
-    fn l2_or_dram_line(&self, l2_line: Addr) -> LineData {
-        self.l2
-            .array
-            .read_line(l2_line)
-            .unwrap_or_else(|| self.functional.dram().read_line(l2_line, 64))
-    }
 
     /// Applies a 32-byte writeback from L1 (or a sidecar spill) into the L2
     /// array, allocating on write if the line is absent (Table 1 policy).
@@ -520,7 +501,6 @@ impl MemorySystem {
             // Timing: the writeback occupies the L1<->L2 bus.
             self.l1_l2_bus.reserve(self.now, data.byte_len());
             self.l2_queue.push_back(L2Req::Writeback {
-                l2_line,
                 arrival: self.l1_l2_bus.busy_until(),
             });
         }

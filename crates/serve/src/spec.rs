@@ -10,7 +10,7 @@
 //! what makes byte-comparing the two a meaningful end-to-end check.
 
 use crate::json::{escape, Json};
-use microlib::{run_one_with, ArtifactStore, RunResult, SamplingMode, SimOptions};
+use microlib::{execute, ArtifactStore, Cell, RunResult, SamplingMode, SimOptions};
 use microlib_mech::MechanismKind;
 use microlib_miner::ConfigDelta;
 use microlib_model::SystemConfig;
@@ -52,14 +52,8 @@ pub struct CampaignSpec {
 pub struct CellSpec {
     /// Position in the spec's benchmark-major grid order.
     pub index: usize,
-    /// Benchmark registry name.
-    pub benchmark: &'static str,
-    /// Mechanism to attach.
-    pub mechanism: MechanismKind,
-    /// System configuration (shared across the campaign).
-    pub config: Arc<SystemConfig>,
-    /// Run options (shared across the campaign).
-    pub opts: SimOptions,
+    /// The cell (its configuration is shared across the campaign).
+    pub cell: Cell<'static>,
 }
 
 impl CampaignSpec {
@@ -181,14 +175,11 @@ impl CampaignSpec {
     /// mechanisms within a benchmark first).
     pub fn cells(&self) -> Vec<CellSpec> {
         let mut cells = Vec::with_capacity(self.benchmarks.len() * self.mechanisms.len());
-        for benchmark in &self.benchmarks {
+        for &benchmark in &self.benchmarks {
             for &mechanism in &self.mechanisms {
                 cells.push(CellSpec {
                     index: cells.len(),
-                    benchmark,
-                    mechanism,
-                    config: Arc::clone(&self.config),
-                    opts: self.opts,
+                    cell: Cell::new(Arc::clone(&self.config), mechanism, benchmark, self.opts),
                 });
             }
         }
@@ -266,16 +257,11 @@ pub fn render_error(
 /// Executes one cell through `store` and renders its line — the single
 /// code path behind both the daemon's workers and the client's local
 /// mode.
-pub fn run_cell(store: &ArtifactStore, cell: &CellSpec) -> String {
-    match run_one_with(
-        store,
-        &cell.config,
-        cell.mechanism,
-        cell.benchmark,
-        &cell.opts,
-    ) {
-        Ok(result) => render_result(cell.index, &result),
-        Err(e) => render_error(cell.index, cell.benchmark, cell.mechanism, &e.to_string()),
+pub fn run_cell(store: &ArtifactStore, spec: &CellSpec) -> String {
+    let cell = &spec.cell;
+    match execute(store, cell) {
+        Ok(result) => render_result(spec.index, &result),
+        Err(e) => render_error(spec.index, cell.benchmark, cell.mechanism, &e.to_string()),
     }
 }
 
@@ -290,8 +276,8 @@ mod tests {
         assert_eq!(spec.class, Class::Batch, "26 cells exceed the auto cap");
         let cells = spec.cells();
         assert_eq!(cells.len(), 26);
-        assert_eq!(cells[0].benchmark, "swim");
-        assert_eq!(cells[13].benchmark, "gcc");
+        assert_eq!(cells[0].cell.benchmark, "swim");
+        assert_eq!(cells[13].cell.benchmark, "gcc");
         assert!(cells.iter().enumerate().all(|(i, c)| c.index == i));
     }
 

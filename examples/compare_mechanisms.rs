@@ -57,6 +57,6 @@ fn main() -> Result<(), microlib::SimError> {
             best.mean_speedup
         );
     }
-    println!("\n(the full-suite ranking is regenerated by `cargo run --release -p microlib-bench --bin fig04_speedup`)");
+    println!("\n(the full-suite ranking is regenerated by `cargo run --release -p microlib-bench --bin run_all -- --only fig04_speedup`)");
     Ok(())
 }

@@ -8,13 +8,14 @@
 //! cargo run --release --example custom_mechanism
 //! ```
 
-use microlib::{run_custom, run_one, SimOptions};
+use microlib::{execute, ArtifactStore, Cell, SimOptions};
 use microlib_mech::MechanismKind;
 use microlib_model::{
     AccessEvent, AccessOutcome, AttachPoint, HardwareBudget, Mechanism, MechanismStats,
     PrefetchDestination, PrefetchQueue, PrefetchRequest, SramTable, SystemConfig,
 };
 use microlib_trace::TraceWindow;
+use std::sync::Arc;
 
 /// A toy contribution: next-N-line prefetching with a per-region direction
 /// predictor (forward/backward saturating counters).
@@ -100,7 +101,8 @@ impl Mechanism for DirectionalNextLine {
 }
 
 fn main() -> Result<(), microlib::SimError> {
-    let config = SystemConfig::baseline();
+    let config = Arc::new(SystemConfig::baseline());
+    let store = ArtifactStore::disabled();
     let opts = SimOptions {
         window: TraceWindow::new(80_000, 50_000),
         ..SimOptions::default()
@@ -108,13 +110,14 @@ fn main() -> Result<(), microlib::SimError> {
 
     println!("comparing the custom mechanism against three published ones on swim + apsi:\n");
     for bench in ["swim", "apsi"] {
-        let base = run_one(&config, MechanismKind::Base, bench, &opts)?;
-        let mine = run_custom(
-            &config,
-            Box::new(DirectionalNextLine::new(2)),
-            MechanismKind::Base, // label slot: custom mechanisms reuse a label
-            bench,
-            &opts,
+        let cell = |kind| Cell::new(Arc::clone(&config), kind, bench, opts);
+        let base = execute(&store, &cell(MechanismKind::Base))?;
+        // Custom mechanisms reuse a label slot; the variant tag names the
+        // build (it keys the result when the store memoizes).
+        let mine = execute(
+            &store,
+            &cell(MechanismKind::Base)
+                .custom("nextn-dir=2", || Box::new(DirectionalNextLine::new(2))),
         )?;
         println!("{bench}:");
         println!(
@@ -122,7 +125,7 @@ fn main() -> Result<(), microlib::SimError> {
             mine.perf.speedup_over(&base.perf)
         );
         for kind in [MechanismKind::Tp, MechanismKind::Sp, MechanismKind::Ghb] {
-            let r = run_one(&config, kind, bench, &opts)?;
+            let r = execute(&store, &cell(kind))?;
             println!(
                 "  {:18} speedup {:.3}",
                 kind.to_string(),

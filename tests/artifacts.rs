@@ -7,8 +7,8 @@
 
 use microlib::report::text_table;
 use microlib::{
-    run_custom, run_custom_with, run_one, run_one_with, ArtifactStore, Campaign, CampaignReport,
-    ExperimentConfig, RunResult, SamplingMode, SimOptions,
+    execute, run_one, ArtifactStore, Campaign, CampaignReport, Cell, ExperimentConfig, RunResult,
+    SamplingMode, SimOptions,
 };
 use microlib_mech::{MechanismKind, TagCorrelatingPrefetcher};
 use microlib_model::SystemConfig;
@@ -40,7 +40,8 @@ fn shared_artifacts_match_cold_runs_for_every_mechanism() {
     for bench in ["swim", "mcf"] {
         for kind in &kinds {
             let cold = run_one(&config, *kind, bench, &opts).unwrap();
-            let shared = run_one_with(&store, &shared_config, *kind, bench, &opts).unwrap();
+            let cell = Cell::new(Arc::clone(&shared_config), *kind, bench, opts);
+            let shared = execute(&store, &cell).unwrap();
             assert_eq!(
                 fingerprint(&cold),
                 fingerprint(&shared),
@@ -57,10 +58,10 @@ fn shared_artifacts_match_cold_runs_for_every_mechanism() {
 fn memo_cache_serves_identical_results() {
     let store = ArtifactStore::new();
     let config = Arc::new(SystemConfig::baseline_constant_memory());
-    let opts = opts(1_000, 1_000);
-    let first = run_one_with(&store, &config, MechanismKind::Sp, "gzip", &opts).unwrap();
+    let cell = Cell::new(config, MechanismKind::Sp, "gzip", opts(1_000, 1_000));
+    let first = execute(&store, &cell).unwrap();
     let misses = store.stats().memo_misses;
-    let second = run_one_with(&store, &config, MechanismKind::Sp, "gzip", &opts).unwrap();
+    let second = execute(&store, &cell).unwrap();
     assert_eq!(fingerprint(&first), fingerprint(&second));
     assert_eq!(
         store.stats().memo_misses,
@@ -70,31 +71,63 @@ fn memo_cache_serves_identical_results() {
     assert_eq!(store.stats().memo_hits, 1);
 }
 
+/// Fig 10's second-guessed TCP: a 1-entry request queue instead of 128.
+fn tcp_queue1_cell(config: Arc<SystemConfig>, bench: &str, opts: SimOptions) -> Cell<'_> {
+    Cell::new(config, MechanismKind::Tcp, bench, opts).custom("queue=1", || {
+        Box::new(TagCorrelatingPrefetcher::with_queue_capacity(1))
+    })
+}
+
 #[test]
-fn custom_mechanisms_share_artifacts_without_memo() {
+fn custom_mechanisms_share_artifacts_and_memoize() {
     let store = ArtifactStore::new();
-    let config = SystemConfig::baseline_constant_memory();
-    let shared_config = Arc::new(config.clone());
-    let opts = opts(2_000, 1_500);
-    let cold = run_custom(
-        &config,
-        Box::new(TagCorrelatingPrefetcher::with_queue_capacity(1)),
-        MechanismKind::Tcp,
+    let cell = tcp_queue1_cell(
+        Arc::new(SystemConfig::baseline_constant_memory()),
         "swim",
-        &opts,
-    )
-    .unwrap();
-    let shared = run_custom_with(
-        &store,
-        &shared_config,
-        Box::new(TagCorrelatingPrefetcher::with_queue_capacity(1)),
-        MechanismKind::Tcp,
-        "swim",
-        &opts,
-    )
-    .unwrap();
+        opts(2_000, 1_500),
+    );
+    let cold = execute(&ArtifactStore::disabled(), &cell).unwrap();
+    let shared = execute(&store, &cell).unwrap();
     assert_eq!(fingerprint(&cold), fingerprint(&shared));
-    assert_eq!(store.stats().memo_hits + store.stats().memo_misses, 0);
+    let stats = store.stats();
+    assert!(
+        stats.trace_misses > 0,
+        "the custom cell drew the shared trace"
+    );
+    assert_eq!((stats.memo_hits, stats.memo_misses), (0, 1), "memoized");
+}
+
+#[test]
+fn variant_cells_memoize_and_never_alias() {
+    let dir = std::env::temp_dir().join(format!("microlib-variant-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = Arc::new(SystemConfig::baseline());
+    // A window where the queue size matters (Fig 10's facerec row).
+    let o = opts(2_000, 2_000);
+    let q1 = tcp_queue1_cell(Arc::clone(&config), "facerec", o);
+    let stock = Cell::new(config, MechanismKind::Tcp, "facerec", o);
+
+    let store = ArtifactStore::new().with_disk_cache(&dir);
+    let first = execute(&store, &q1).unwrap();
+    let second = execute(&store, &q1).unwrap();
+    let stats = store.stats();
+    assert_eq!((stats.memo_misses, stats.memo_hits), (1, 1));
+    assert_eq!(fingerprint(&first), fingerprint(&second));
+
+    // The variant never aliases the stock cell: its own key and result.
+    assert_eq!(q1.key(), format!("{}|variant=queue=1", stock.key()));
+    let tcp = execute(&store, &stock).unwrap();
+    assert_eq!(store.stats().memo_misses, 2, "the stock cell simulates");
+    assert_ne!(fingerprint(&first), fingerprint(&tcp));
+
+    // A second store on the same directory (≈ a new process) serves the
+    // variant from disk.
+    let reopened = ArtifactStore::new().with_disk_cache(&dir);
+    let served = execute(&reopened, &q1).unwrap();
+    let stats = reopened.stats();
+    assert_eq!((stats.memo_disk_hits, stats.memo_misses), (1, 0));
+    assert_eq!(fingerprint(&first), fingerprint(&served));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn campaign_config() -> ExperimentConfig {
@@ -173,9 +206,9 @@ fn campaign_tables_match_with_sharing_on_off_and_memoized() {
 fn disabled_store_routes_to_cold_path() {
     let store = ArtifactStore::disabled();
     let config = Arc::new(SystemConfig::baseline_constant_memory());
-    let o = opts(500, 500);
-    run_one_with(&store, &config, MechanismKind::Tp, "swim", &o).unwrap();
-    run_one_with(&store, &config, MechanismKind::Tp, "swim", &o).unwrap();
+    let cell = Cell::new(config, MechanismKind::Tp, "swim", opts(500, 500));
+    execute(&store, &cell).unwrap();
+    execute(&store, &cell).unwrap();
     let stats = store.stats();
     assert_eq!(stats.trace_hits + stats.trace_misses, 0);
     assert_eq!(stats.memo_hits + stats.memo_misses, 0);

@@ -6,7 +6,7 @@
 //! output.
 
 use microlib::{
-    run_one_with, ArtifactStore, Campaign, ExperimentConfig, RunResult, SamplingMode, SimOptions,
+    execute, ArtifactStore, Campaign, Cell, ExperimentConfig, RunResult, SamplingMode, SimOptions,
 };
 use microlib_mech::MechanismKind;
 use microlib_model::SystemConfig;
@@ -55,29 +55,23 @@ fn memo_survives_across_stores() {
     let dir = tmp_dir("memo");
     let config = Arc::new(SystemConfig::baseline_constant_memory());
     let o = opts(TraceWindow::new(1_000, 2_000));
+    let cell = Cell::new(Arc::clone(&config), MechanismKind::Ghb, "swim", o);
 
     let first = store_at(&dir);
-    let cold = run_one_with(&first, &config, MechanismKind::Ghb, "swim", &o).unwrap();
+    let cold = execute(&first, &cell).unwrap();
     assert_eq!(first.stats().memo_disk_hits, 0);
 
     // A fresh store (≈ a new process) serves the cell from disk without
     // simulating, bit-identically.
     let second = store_at(&dir);
-    let warm = run_one_with(&second, &config, MechanismKind::Ghb, "swim", &o).unwrap();
+    let warm = execute(&second, &cell).unwrap();
     let stats = second.stats();
     assert_eq!(stats.memo_disk_hits, 1, "served from disk");
     assert_eq!(stats.cells_recomputed(), 0, "nothing simulated");
     assert_same_result(&cold, &warm);
 
     // And matches a completely cold, cache-free run.
-    let reference = run_one_with(
-        &ArtifactStore::new(),
-        &config,
-        MechanismKind::Ghb,
-        "swim",
-        &o,
-    )
-    .unwrap();
+    let reference = execute(&ArtifactStore::new(), &cell).unwrap();
     assert_same_result(&reference, &warm);
     let _ = fs::remove_dir_all(&dir);
 }
@@ -131,8 +125,9 @@ fn config_tweak_invalidates_only_the_cells_it_touches() {
     let dir = tmp_dir("incremental");
     let config = Arc::new(SystemConfig::baseline_constant_memory());
     let o = opts(TraceWindow::new(500, 1_500));
+    let cell = Cell::new(Arc::clone(&config), MechanismKind::Tp, "gzip", o);
     let first = store_at(&dir);
-    run_one_with(&first, &config, MechanismKind::Tp, "gzip", &o).unwrap();
+    execute(&first, &cell).unwrap();
 
     let mut tweaked = SystemConfig::baseline_constant_memory();
     tweaked.l1d.mshr_entries = 4;
@@ -141,8 +136,15 @@ fn config_tweak_invalidates_only_the_cells_it_touches() {
     let second = store_at(&dir);
     // Unchanged config: disk hit. Tweaked config: a different content
     // key, so the cell recomputes — no stale entry can ever be served.
-    let unchanged = run_one_with(&second, &config, MechanismKind::Tp, "gzip", &o).unwrap();
-    let changed = run_one_with(&second, &tweaked, MechanismKind::Tp, "gzip", &o).unwrap();
+    let unchanged = execute(&second, &cell).unwrap();
+    let changed = execute(
+        &second,
+        &Cell {
+            config: tweaked,
+            ..cell
+        },
+    )
+    .unwrap();
     let stats = second.stats();
     assert_eq!(stats.memo_disk_hits, 1);
     assert_eq!(stats.cells_recomputed(), 1);
@@ -159,8 +161,8 @@ fn corruption_recovers(tag: &str, mutate: impl Fn(&PathBuf)) {
     let dir = tmp_dir(tag);
     let config = Arc::new(SystemConfig::baseline_constant_memory());
     let o = opts(TraceWindow::new(1_000, 2_000));
-    let reference =
-        run_one_with(&store_at(&dir), &config, MechanismKind::Markov, "mcf", &o).unwrap();
+    let cell = Cell::new(Arc::clone(&config), MechanismKind::Markov, "mcf", o);
+    let reference = execute(&store_at(&dir), &cell).unwrap();
 
     let mut corrupted = 0usize;
     for entry in walk(&dir) {
@@ -170,7 +172,7 @@ fn corruption_recovers(tag: &str, mutate: impl Fn(&PathBuf)) {
     assert!(corrupted > 0, "the run must have written cache entries");
 
     let recovering = store_at(&dir);
-    let recomputed = run_one_with(&recovering, &config, MechanismKind::Markov, "mcf", &o).unwrap();
+    let recomputed = execute(&recovering, &cell).unwrap();
     let stats = recovering.stats();
     assert_eq!(stats.memo_disk_hits, 0, "corrupt entries are never trusted");
     assert_eq!(stats.cells_recomputed(), 1);
@@ -178,7 +180,7 @@ fn corruption_recovers(tag: &str, mutate: impl Fn(&PathBuf)) {
 
     // The recompute repaired the cache: a third store hits again.
     let repaired = store_at(&dir);
-    let again = run_one_with(&repaired, &config, MechanismKind::Markov, "mcf", &o).unwrap();
+    let again = execute(&repaired, &cell).unwrap();
     assert_eq!(repaired.stats().memo_disk_hits, 1);
     assert_same_result(&reference, &again);
     let _ = fs::remove_dir_all(&dir);
@@ -251,16 +253,17 @@ fn sampled_cells_and_plans_persist() {
         },
         ..SimOptions::default()
     };
+    let cell = |kind| Cell::new(Arc::clone(&config), kind, "gcc", o);
 
     let first = store_at(&dir);
-    let cold = run_one_with(&first, &config, MechanismKind::Ghb, "gcc", &o).unwrap();
+    let cold = execute(&first, &cell(MechanismKind::Ghb)).unwrap();
     assert!(
         cold.sampling.is_some(),
         "a sampled run carries its estimate"
     );
 
     let second = store_at(&dir);
-    let warm = run_one_with(&second, &config, MechanismKind::Ghb, "gcc", &o).unwrap();
+    let warm = execute(&second, &cell(MechanismKind::Ghb)).unwrap();
     let stats = second.stats();
     assert_eq!(stats.memo_disk_hits, 1);
     assert_same_result(&cold, &warm);
@@ -268,7 +271,7 @@ fn sampled_cells_and_plans_persist() {
     // A different mechanism in the same (benchmark, window) reuses the
     // persisted sampling plan instead of re-profiling.
     let third = store_at(&dir);
-    run_one_with(&third, &config, MechanismKind::Tp, "gcc", &o).unwrap();
+    execute(&third, &cell(MechanismKind::Tp)).unwrap();
     let stats = third.stats();
     assert_eq!(stats.plan_disk_hits, 1, "plan served from disk");
     assert_eq!(stats.plan_misses, 0, "no re-profiling");
@@ -325,18 +328,12 @@ fn disabled_and_memory_only_stores_touch_no_disk() {
     let dir = tmp_dir("untouched");
     let config = Arc::new(SystemConfig::baseline_constant_memory());
     let o = opts(TraceWindow::new(0, 1_000));
+    let cell = Cell::new(Arc::clone(&config), MechanismKind::Base, "swim", o);
     // Memory-only store: no directory may appear.
-    run_one_with(
-        &ArtifactStore::new(),
-        &config,
-        MechanismKind::Base,
-        "swim",
-        &o,
-    )
-    .unwrap();
+    execute(&ArtifactStore::new(), &cell).unwrap();
     // A disabled store ignores with_disk_cache entirely.
     let disabled = ArtifactStore::disabled().with_disk_cache(&dir);
     assert!(disabled.disk_cache().is_none());
-    run_one_with(&disabled, &config, MechanismKind::Base, "swim", &o).unwrap();
+    execute(&disabled, &cell).unwrap();
     assert!(!dir.exists(), "no cache directory was created");
 }

@@ -8,7 +8,7 @@
 
 use microlib::model::codec::fnv1a;
 use microlib::{
-    fault, run_one_with, ArtifactStore, Claim, LeaseManager, RunResult, SimError, SimOptions,
+    execute, fault, ArtifactStore, Cell, Claim, LeaseManager, RunResult, SimError, SimOptions,
 };
 use microlib_mech::MechanismKind;
 use microlib_model::SystemConfig;
@@ -190,6 +190,7 @@ fn single_flight_across_stores_computes_each_cell_once() {
     let dir = tmp_dir("single-flight");
     let config = Arc::new(SystemConfig::baseline_constant_memory());
     let o = opts(TraceWindow::new(500, 1_500));
+    let cell = |kind| Cell::new(Arc::clone(&config), kind, "swim", o);
     let store = |_: u32| {
         ArtifactStore::new()
             .with_disk_cache(&dir)
@@ -197,8 +198,8 @@ fn single_flight_across_stores_computes_each_cell_once() {
     };
     let (a, b) = (store(0), store(1));
     let (ra, rb) = std::thread::scope(|s| {
-        let ta = s.spawn(|| run_one_with(&a, &config, MechanismKind::Ghb, "swim", &o).unwrap());
-        let tb = s.spawn(|| run_one_with(&b, &config, MechanismKind::Ghb, "swim", &o).unwrap());
+        let ta = s.spawn(|| execute(&a, &cell(MechanismKind::Ghb)).unwrap());
+        let tb = s.spawn(|| execute(&b, &cell(MechanismKind::Ghb)).unwrap());
         (ta.join().unwrap(), tb.join().unwrap())
     });
     assert_same_result(&ra, &rb);
@@ -225,10 +226,11 @@ fn torn_memo_write_recovers_byte_identical() {
     let dir = tmp_dir("torn-memo");
     let config = Arc::new(SystemConfig::baseline_constant_memory());
     let o = opts(TraceWindow::new(1_000, 1_500));
+    let cell = |kind| Cell::new(Arc::clone(&config), kind, "gcc", o);
 
     fault::arm("disk-write@memo:1:torn").unwrap();
     let first = ArtifactStore::new().with_disk_cache(&dir);
-    let torn = run_one_with(&first, &config, MechanismKind::Tcp, "gcc", &o).unwrap();
+    let torn = execute(&first, &cell(MechanismKind::Tcp)).unwrap();
     fault::disarm();
     // The journal write was torn (half the framed entry at the final
     // path); the in-RAM result is still whole.
@@ -243,13 +245,13 @@ fn torn_memo_write_recovers_byte_identical() {
     // A fresh process must reject the torn entry, recompute the identical
     // result, and heal the journal.
     let second = ArtifactStore::new().with_disk_cache(&dir);
-    let healed = run_one_with(&second, &config, MechanismKind::Tcp, "gcc", &o).unwrap();
+    let healed = execute(&second, &cell(MechanismKind::Tcp)).unwrap();
     assert_same_result(&torn, &healed);
     assert_eq!(second.stats().memo_disk_hits, 0, "torn entry never served");
     assert_eq!(second.stats().memo_misses, 1, "recomputed once");
 
     let third = ArtifactStore::new().with_disk_cache(&dir);
-    let served = run_one_with(&third, &config, MechanismKind::Tcp, "gcc", &o).unwrap();
+    let served = execute(&third, &cell(MechanismKind::Tcp)).unwrap();
     assert_same_result(&torn, &served);
     assert_eq!(third.stats().memo_disk_hits, 1, "healed entry serves");
     assert_eq!(third.stats().memo_misses, 0);
@@ -286,6 +288,7 @@ fn panic_fault_abandons_the_lease_then_recovery_completes_the_cell() {
     let dir = tmp_dir("panic-cell");
     let config = Arc::new(SystemConfig::baseline_constant_memory());
     let o = opts(TraceWindow::new(2_000, 1_000));
+    let cell = |kind| Cell::new(Arc::clone(&config), kind, "swim", o);
     let store = || {
         ArtifactStore::new()
             .with_disk_cache(&dir)
@@ -295,7 +298,7 @@ fn panic_fault_abandons_the_lease_then_recovery_completes_the_cell() {
     fault::arm("cell@swim+Base:1:panic").unwrap();
     let crashing = store();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_one_with(&crashing, &config, MechanismKind::Base, "swim", &o)
+        execute(&crashing, &cell(MechanismKind::Base))
     }));
     fault::disarm();
     assert!(outcome.is_err(), "the injected panic unwinds to the caller");
@@ -311,13 +314,13 @@ fn panic_fault_abandons_the_lease_then_recovery_completes_the_cell() {
 
     // Recovery: a fresh store reclaims the abandoned (epoch-dated) lease
     // immediately, computes the cell, and clears the attempt history.
-    let recovered = run_one_with(&store(), &config, MechanismKind::Base, "swim", &o).unwrap();
+    let recovered = execute(&store(), &cell(MechanismKind::Base)).unwrap();
     assert_eq!(recovered.perf.instructions, 1_000);
     assert!(!attempts[0].exists(), "completion cleared the counter");
 
     // And the journaled memo now serves without recomputing.
     let warm = store();
-    let served = run_one_with(&warm, &config, MechanismKind::Base, "swim", &o).unwrap();
+    let served = execute(&warm, &cell(MechanismKind::Base)).unwrap();
     assert_same_result(&recovered, &served);
     assert_eq!(warm.stats().memo_misses, 0);
     let _ = fs::remove_dir_all(&dir);
@@ -329,6 +332,7 @@ fn poison_cell_is_quarantined_and_the_rest_completes() {
     let dir = tmp_dir("poison");
     let config = Arc::new(SystemConfig::baseline_constant_memory());
     let o = opts(TraceWindow::new(3_000, 1_000));
+    let cell = |kind| Cell::new(Arc::clone(&config), kind, "swim", o);
     let store = || {
         ArtifactStore::new()
             .with_disk_cache(&dir)
@@ -341,13 +345,13 @@ fn poison_cell_is_quarantined_and_the_rest_completes() {
     let s = store();
     for _ in 0..2 {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_one_with(&s, &config, MechanismKind::Base, "swim", &o)
+            execute(&s, &cell(MechanismKind::Base))
         }));
         assert!(outcome.is_err());
     }
     // The third attempt quarantines instead of crashing — even with the
     // fault still armed, the cell is never executed again.
-    let verdict = run_one_with(&s, &config, MechanismKind::Base, "swim", &o);
+    let verdict = execute(&s, &cell(MechanismKind::Base));
     fault::disarm();
     match verdict {
         Err(SimError::Quarantined {
@@ -363,7 +367,7 @@ fn poison_cell_is_quarantined_and_the_rest_completes() {
 
     // Graceful degradation: every *other* cell still computes on the
     // same store, and the verdict is reportable with a repro command.
-    let healthy = run_one_with(&s, &config, MechanismKind::Ghb, "swim", &o).unwrap();
+    let healthy = execute(&s, &cell(MechanismKind::Ghb)).unwrap();
     assert_eq!(healthy.perf.instructions, 1_000);
     let reports = LeaseManager::quarantine_reports(&dir);
     assert_eq!(reports.len(), 1);

@@ -2,10 +2,11 @@
 //! hierarchy → mechanism → SDRAM) exercised end-to-end.
 //!
 //! Windows are kept small so the suite stays debug-build friendly; the
-//! experiment binaries in `crates/bench` are the full-scale runs.
+//! `run_all` battery in `crates/bench` is the full-scale run.
 
 use microlib::{
-    run_custom, run_matrix, run_one, ExperimentConfig, SamplingMode, SimError, SimOptions,
+    execute, run_matrix, run_one, ArtifactStore, Cell, ExperimentConfig, SamplingMode, SimError,
+    SimOptions,
 };
 use microlib_mech::{DbcpVariant, DeadBlockPrefetcher, MechanismKind};
 use microlib_model::{FidelityConfig, SystemConfig};
@@ -233,14 +234,11 @@ fn dbcp_variants_differ() {
     let cfg = SystemConfig::baseline_constant_memory();
     let base = run_one(&cfg, MechanismKind::Base, "facerec", &opts).unwrap();
     let fixed = run_one(&cfg, MechanismKind::Dbcp, "facerec", &opts).unwrap();
-    let initial = run_custom(
-        &cfg,
-        Box::new(DeadBlockPrefetcher::new(DbcpVariant::Initial)),
-        MechanismKind::DbcpInitial,
-        "facerec",
-        &opts,
-    )
-    .unwrap();
+    let initial = Cell::new(cfg.into(), MechanismKind::DbcpInitial, "facerec", opts)
+        .custom("initial", || {
+            Box::new(DeadBlockPrefetcher::new(DbcpVariant::Initial))
+        });
+    let initial = execute(&ArtifactStore::disabled(), &initial).unwrap();
     // Both run clean; the fixed variant must not be worse than the buggy
     // one (Fig 3's direction).
     let sf = fixed.perf.speedup_over(&base.perf);

@@ -5,9 +5,9 @@
 //! guarantees (thread count, artifact store on/off).
 
 use microlib::{
-    run_one, run_one_with, ArtifactStore, Campaign, ExperimentConfig, SamplingMode, SimOptions,
+    execute, run_one, ArtifactStore, Campaign, Cell, ExperimentConfig, SamplingMode, SimOptions,
 };
-use microlib_mech::MechanismKind;
+use microlib_mech::{DbcpVariant, DeadBlockPrefetcher, MechanismKind};
 use microlib_model::SystemConfig;
 use microlib_trace::TraceWindow;
 use std::sync::Arc;
@@ -52,9 +52,10 @@ fn sampled_cpi_within_reported_bound_for_every_mechanism() {
     let config = Arc::new(SystemConfig::baseline_constant_memory());
     let store = ArtifactStore::new();
     for kind in MechanismKind::study_set() {
-        let full = run_one_with(&store, &config, kind, BENCH, &full_opts())
-            .unwrap_or_else(|e| panic!("{kind:?} full: {e}"));
-        let sampled = run_one_with(&store, &config, kind, BENCH, &sampled_opts())
+        let cell = |opts| Cell::new(Arc::clone(&config), kind, BENCH, opts);
+        let full =
+            execute(&store, &cell(full_opts())).unwrap_or_else(|e| panic!("{kind:?} full: {e}"));
+        let sampled = execute(&store, &cell(sampled_opts()))
             .unwrap_or_else(|e| panic!("{kind:?} sampled: {e}"));
 
         assert_eq!(sampled.perf.instructions, window().simulate, "{kind:?}");
@@ -211,4 +212,25 @@ fn truncated_warmup_runs_and_commits() {
     .unwrap();
     assert_eq!(r.perf.instructions, window().simulate);
     assert!(r.perf.cycles > 0);
+}
+
+/// A custom cell samples like a stock one: built as the initial DBCP and
+/// labelled `DbcpInitial`, it reproduces the stock `DbcpInitial` cell
+/// exactly — sampled, not simulated over the full window.
+#[test]
+fn sampled_custom_cell_matches_its_stock_twin() {
+    let store = ArtifactStore::new();
+    let stock = Cell::new(
+        Arc::new(SystemConfig::baseline_constant_memory()),
+        MechanismKind::DbcpInitial,
+        BENCH,
+        sampled_opts(),
+    );
+    let custom = stock.clone().custom("initial", || {
+        Box::new(DeadBlockPrefetcher::new(DbcpVariant::Initial))
+    });
+    let expected = execute(&store, &stock).unwrap();
+    let got = execute(&store, &custom).unwrap();
+    assert!(got.sampling.is_some(), "the custom cell was sampled");
+    assert_eq!(format!("{got:?}"), format!("{expected:?}"));
 }

@@ -4,7 +4,7 @@
 //! with a retry hint, keep its metrics consistent with the requests it
 //! served, and hold resident warm state under the configured byte cap.
 
-use microlib::{run_one_with, ArtifactStore, SimOptions};
+use microlib::{execute, ArtifactStore, Cell, SimOptions};
 use microlib_mech::MechanismKind;
 use microlib_model::SystemConfig;
 use microlib_serve::{
@@ -45,7 +45,7 @@ fn completed(client: &Client, spec: &str) -> Vec<String> {
 
 /// The daemon's streamed NDJSON, restored to grid order, must be
 /// byte-identical to a local (no daemon, no HTTP) run of the same spec
-/// through `run_cell`, and to `run_one_with` + `render_result` directly.
+/// through `run_cell`, and to `execute` + `render_result` directly.
 #[test]
 fn daemon_streams_byte_identical_to_local() {
     let spec_json = r#"{"benchmarks":["swim","gzip"],"mechanisms":["Base","GHB"],
@@ -67,14 +67,13 @@ fn daemon_streams_byte_identical_to_local() {
     assert_eq!(daemon_lines, local_lines, "daemon differs from local run");
 
     // And against the raw library call, bypassing CellSpec entirely.
-    let direct = run_one_with(
-        &ArtifactStore::new(),
-        &spec.config,
+    let cell = Cell::new(
+        Arc::clone(&spec.config),
         spec.mechanisms[0],
         spec.benchmarks[0],
-        &spec.opts,
-    )
-    .expect("direct run");
+        spec.opts,
+    );
+    let direct = execute(&ArtifactStore::new(), &cell).expect("direct run");
     assert_eq!(daemon_lines[0], render_result(0, &direct));
 }
 
@@ -126,10 +125,13 @@ fn store_coalesces_simultaneous_identical_cells() {
             .map(|_| {
                 scope.spawn(|| {
                     barrier.wait();
-                    run_one_with(&store, &config, MechanismKind::Base, "swim", &opts)
-                        .expect("cell runs")
-                        .perf
-                        .ipc()
+                    execute(
+                        &store,
+                        &Cell::new(Arc::clone(&config), MechanismKind::Base, "swim", opts),
+                    )
+                    .expect("cell runs")
+                    .perf
+                    .ipc()
                 })
             })
             .collect();
