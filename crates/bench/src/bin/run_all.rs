@@ -8,9 +8,8 @@
 //! [`ArtifactStore`](microlib::ArtifactStore) shares traces, warm-state
 //! checkpoints and duplicated cells across the rest. Captured outputs
 //! contain only deterministic content (progress and timing go to stderr),
-//! so `results/` is bit-identical for any `MICROLIB_THREADS` value, with
-//! artifact sharing on or off (`MICROLIB_ARTIFACTS=off`), and with the
-//! disk cache cold, warm or disabled.
+//! so `results/` is bit-identical for any `MICROLIB_THREADS` value and
+//! with the disk cache cold, warm or disabled.
 //!
 //! # Usage
 //!

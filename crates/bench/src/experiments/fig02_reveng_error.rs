@@ -3,8 +3,7 @@
 //! (long arbitrary trace window + constant 70-cycle memory). The paper read
 //! the reference numbers off the articles' graphs and found a 5% average
 //! error with occasional tendency flips (speedup↔slowdown); here the
-//! article numbers are *reproduced* by running the article setup (see
-//! DESIGN.md §2 on this substitution).
+//! article numbers are *reproduced* by running the article setup.
 
 use crate::Context;
 use microlib::report::{pct, text_table};

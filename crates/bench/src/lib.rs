@@ -5,8 +5,8 @@
 //! rows/series the paper reports; `run_all` executes the battery **in
 //! process** (`--only <name>` selects single experiments), sharing one
 //! standard campaign across every experiment that needs it.
-//! See DESIGN.md §6 for the experiment index and EXPERIMENTS.md for
-//! measured-vs-paper notes.
+//! The README's "Figure/table → experiment → results map" is the
+//! experiment index.
 //!
 //! All binaries accept the environment overrides:
 //!
@@ -15,9 +15,6 @@
 //! - `MICROLIB_SIM` — detailed-simulated instructions (default 100 000);
 //! - `MICROLIB_SEED` — workload seed (default `0xC0FFEE`);
 //! - `MICROLIB_THREADS` — worker threads (default: all cores);
-//! - `MICROLIB_ARTIFACTS` — `off`/`0`/`false` disables the shared
-//!   artifact store (traces, warm checkpoints, sampling plans, cell
-//!   memo); results are bit-identical either way;
 //! - `MICROLIB_SAMPLED` — `1`/`on` runs sweeps SimPoint-sampled with the
 //!   default plan for the window, `interval/clusters[/warmup]` picks an
 //!   explicit plan (what `run_all --sampled` sets; see
@@ -242,8 +239,8 @@ impl Default for Context {
 
 impl Context {
     /// Creates an empty context (no sweeps run yet) with a battery-wide
-    /// artifact store honouring `MICROLIB_ARTIFACTS` and
-    /// `MICROLIB_CACHE_DIR` (the persistent disk tier).
+    /// artifact store with the persistent disk tier `MICROLIB_CACHE_DIR`
+    /// asks for.
     pub fn new() -> Self {
         Context {
             std_matrix: None,

@@ -33,7 +33,6 @@ fn run_all() -> Command {
         "MICROLIB_FAULT",
         "MICROLIB_FAULT_WORKER",
         "MICROLIB_FAULT_DIR",
-        "MICROLIB_ARTIFACTS",
     ] {
         c.env_remove(stale);
     }

@@ -18,7 +18,7 @@ use microlib_cost::{CpiBreakdown, CpiCounters, CpiModel};
 use microlib_mech::MechanismKind;
 use microlib_mem::MemorySystem;
 use microlib_model::{CacheStats, SystemConfig};
-use microlib_trace::{benchmarks, TraceBuffer, Workload};
+use microlib_trace::TraceBuffer;
 use std::sync::Arc;
 
 /// One analytic-tier measurement: the counters observed over the window
@@ -66,10 +66,8 @@ impl WarmSnapshot {
 /// functional pass over the window (with prefetches applied), and the
 /// [`CpiModel`] stack over the measured deltas.
 ///
-/// The trace comes from `store`'s shared buffer when the store is enabled
-/// (the same buffer detailed runs replay, so both tiers see an identical
-/// instruction stream); a [disabled](ArtifactStore::disabled) store
-/// generates the trace directly.
+/// The trace comes from `store`'s shared buffer (the same buffer detailed
+/// runs replay, so both tiers see an identical instruction stream).
 ///
 /// # Errors
 ///
@@ -102,24 +100,16 @@ pub fn run_analytic(
     benchmark: &str,
     opts: &SimOptions,
 ) -> Result<AnalyticResult, SimError> {
-    let profile = benchmarks::by_name(benchmark)
-        .ok_or_else(|| SimError::UnknownBenchmark(benchmark.to_owned()))?;
-    let benchmark: &'static str = profile.name;
+    let (workload, buffer) = store.trace(benchmark, opts.seed, opts.window.end())?;
+    let benchmark = buffer.benchmark();
 
     let mut mem = MemorySystem::new(Arc::clone(config), vec![mechanism.build()])?;
     // The analytic tier never runs the detailed load path, so the value
     // integrity checker has nothing to verify.
     mem.set_check_values(false);
 
-    let mut stream = if store.is_enabled() {
-        let (workload, buffer) = store.trace(benchmark, opts.seed, opts.window.end())?;
-        workload.initialize(mem.functional_mut());
-        TraceBuffer::replay(&buffer)
-    } else {
-        let workload = Workload::shared(profile, opts.seed);
-        workload.initialize(mem.functional_mut());
-        workload.stream()
-    };
+    workload.initialize(mem.functional_mut());
+    let mut stream = TraceBuffer::replay(&buffer);
 
     // Warm prefix: the plain drop-prefetch warm mode, matching the warm
     // phase every detailed run uses before its window.
@@ -198,12 +188,16 @@ mod tests {
     }
 
     #[test]
-    fn shared_and_disabled_store_agree_bit_for_bit() {
-        let shared = ArtifactStore::new();
-        let disabled = ArtifactStore::disabled();
+    fn fresh_and_grown_stores_agree_bit_for_bit() {
+        let fresh = ArtifactStore::new();
+        // A buffer another request already grew past this window.
+        let grown = ArtifactStore::new();
+        grown
+            .trace("mcf", SimOptions::default().seed, 50_000)
+            .unwrap();
         let config = Arc::new(SystemConfig::baseline_constant_memory());
         let a = run_analytic(
-            &shared,
+            &fresh,
             &config,
             MechanismKind::Ghb,
             "mcf",
@@ -211,7 +205,7 @@ mod tests {
         )
         .unwrap();
         let b = run_analytic(
-            &disabled,
+            &grown,
             &config,
             MechanismKind::Ghb,
             "mcf",

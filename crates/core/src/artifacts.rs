@@ -32,10 +32,9 @@
 //! input a run depends on. `tests/artifacts.rs` asserts equality for all
 //! thirteen study mechanisms, cold vs shared.
 //!
-//! The `MICROLIB_ARTIFACTS` environment variable (`off`/`0`/`false` to
-//! disable) gates the default stores created by
-//! [`Campaign`](crate::Campaign); a disabled store makes every run take
-//! the legacy cold path.
+//! Every simulation runs through a store: a single cell on a fresh one
+//! ([`run_one`](crate::run_one)) is its warm key's first requester and
+//! takes the exact full warm path over the replayed trace.
 //!
 //! # The on-disk tier
 //!
@@ -74,21 +73,11 @@ pub fn config_key(config: &SystemConfig) -> String {
     format!("{config:?}")
 }
 
-/// Largest encoded warm state (bytes) the disk tier persists:
-/// `MICROLIB_CACHE_WARM_MAX_MB` (MiB; `0` = unlimited), default 8 MiB.
+/// Largest encoded warm state (bytes) the disk tier persists: 8 MiB.
 /// Small-window warm states (the CI regime) fit comfortably; the
 /// multi-ten-MB event logs of article-scale warm phases are cheaper to
 /// re-record than to store per configuration.
-fn warm_disk_cap() -> usize {
-    match std::env::var("MICROLIB_CACHE_WARM_MAX_MB")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(0) => usize::MAX,
-        Some(mib) => mib.saturating_mul(1 << 20),
-        None => 8 << 20,
-    }
-}
+const WARM_DISK_CAP: usize = 8 << 20;
 
 #[derive(Default)]
 struct TraceSlot {
@@ -96,8 +85,8 @@ struct TraceSlot {
 }
 
 /// Capture gate for one warm key: the first requester is told to take
-/// the (equally priced) cold path; the capture — which costs roughly one
-/// extra warm phase plus the event log — only happens once a second
+/// the (equally priced) full warm path; the capture — which costs roughly
+/// one extra warm phase plus the event log — only happens once a second
 /// requester proves the state will actually be reused.
 #[derive(Default)]
 struct WarmGate {
@@ -237,7 +226,6 @@ impl ArtifactStoreStats {
 /// # Ok::<(), microlib::SimError>(())
 /// ```
 pub struct ArtifactStore {
-    enabled: bool,
     disk: Option<DiskCache>,
     lease: Option<LeaseManager>,
     shard: Option<ShardSpec>,
@@ -275,7 +263,6 @@ pub struct ArtifactStore {
 impl std::fmt::Debug for ArtifactStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ArtifactStore")
-            .field("enabled", &self.enabled)
             .field("disk", &self.disk.as_ref().map(|d| d.root()))
             .field("stats", &self.stats())
             .finish_non_exhaustive()
@@ -289,9 +276,9 @@ impl Default for ArtifactStore {
 }
 
 impl ArtifactStore {
-    fn with_enabled(enabled: bool) -> Self {
+    /// An empty, memory-only store.
+    pub fn new() -> Self {
         ArtifactStore {
-            enabled,
             disk: None,
             lease: None,
             shard: None,
@@ -329,23 +316,12 @@ impl ArtifactStore {
         }
     }
 
-    /// An enabled, empty, memory-only store.
-    pub fn new() -> Self {
-        Self::with_enabled(true)
-    }
-
-    /// A disabled store: every consumer falls back to the legacy cold
-    /// path (fresh generation, full per-mechanism warmup, no memo).
-    pub fn disabled() -> Self {
-        Self::with_enabled(false)
-    }
-
     /// Attaches a persistent on-disk tier rooted at `dir`: result memos,
     /// sampling plans and warm states are written through as they are
     /// computed and served from disk across processes (see the module
-    /// docs). No effect on a [disabled](ArtifactStore::disabled) store.
+    /// docs).
     pub fn with_disk_cache(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.disk = self.enabled.then(|| DiskCache::new(dir));
+        self.disk = Some(DiskCache::new(dir));
         self
     }
 
@@ -361,7 +337,7 @@ impl ArtifactStore {
     /// crash recovery and quarantine). Only meaningful together with a
     /// disk tier rooted at the same directory.
     pub fn with_lease_manager(mut self, lease: LeaseManager) -> Self {
-        self.lease = self.enabled.then_some(lease);
+        self.lease = Some(lease);
         self
     }
 
@@ -375,15 +351,14 @@ impl ArtifactStore {
         self
     }
 
-    /// A store honouring the `MICROLIB_ARTIFACTS` environment variable
-    /// (enabled unless it is `off`, `0` or `false`), with an on-disk tier
-    /// at `MICROLIB_CACHE_DIR` when that is set to a path (unset, empty,
-    /// `off`, `0` and `false` mean memory-only). When the disk tier is
-    /// active and multi-process coordination is requested —
-    /// `MICROLIB_SHARD` is set, or `MICROLIB_LEASE` is `on`/`1`/`true` —
-    /// the store also claims cells through lease files in the cache dir.
+    /// A store with an on-disk tier at `MICROLIB_CACHE_DIR` when that is
+    /// set to a path (unset, empty, `off`, `0` and `false` mean
+    /// memory-only). When the disk tier is active and multi-process
+    /// coordination is requested — `MICROLIB_SHARD` is set, or
+    /// `MICROLIB_LEASE` is `on`/`1`/`true` — the store also claims cells
+    /// through lease files in the cache dir.
     pub fn from_env() -> Self {
-        let mut store = Self::with_enabled(Self::enabled_by_env());
+        let mut store = Self::new();
         if let Some(dir) = Self::cache_dir_from_env() {
             store = store.with_disk_cache(dir.clone());
             let shard = ShardSpec::from_env();
@@ -391,7 +366,7 @@ impl ArtifactStore {
                 std::env::var("MICROLIB_LEASE").as_deref(),
                 Ok("on" | "1" | "true")
             );
-            if store.disk.is_some() && (shard.is_some() || lease_on) {
+            if shard.is_some() || lease_on {
                 store = store.with_lease_manager(LeaseManager::new(dir));
                 if let Some(shard) = shard {
                     store = store.with_shard(shard);
@@ -409,20 +384,6 @@ impl ArtifactStore {
             }
             _ => None,
         }
-    }
-
-    /// Whether `MICROLIB_ARTIFACTS` currently allows artifact sharing.
-    pub fn enabled_by_env() -> bool {
-        !matches!(
-            std::env::var("MICROLIB_ARTIFACTS").as_deref(),
-            Ok("off" | "0" | "false")
-        )
-    }
-
-    /// Whether this store shares artifacts (`false` for
-    /// [`disabled`](ArtifactStore::disabled) stores).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Hit/miss counters accumulated so far.
@@ -452,7 +413,9 @@ impl ArtifactStore {
     /// covering at least `min_len` instructions. The buffer is built on
     /// first use and regenerated (longer) when a caller needs more than
     /// any previous one; existing replay cursors keep their `Arc` to the
-    /// old buffer and are unaffected.
+    /// old buffer and are unaffected. The workload itself comes from
+    /// [`Workload::shared`], so its layout is paid once per process, not
+    /// once per store.
     ///
     /// # Errors
     ///
@@ -483,7 +446,7 @@ impl ArtifactStore {
         self.trace_misses.fetch_add(1, Ordering::Relaxed);
         let workload = match state.take() {
             Some((workload, _short)) => workload,
-            None => Arc::new(Workload::new(profile, seed)),
+            None => Workload::shared(profile, seed),
         };
         let buffer = Arc::new(TraceBuffer::capture(&workload, min_len));
         *state = Some((Arc::clone(&workload), Arc::clone(&buffer)));
@@ -535,8 +498,7 @@ impl ArtifactStore {
         }
         // The disk key is only built when a disk tier exists: most warm
         // requests resolve in memory (hit, or first-requester decline), and
-        // the formatting must cost nothing there — same lazy discipline as
-        // `trace_event`.
+        // the formatting must cost nothing there.
         let disk_key = self.disk.as_ref().map(|_| {
             format!(
                 "{}|seed={:#x}|skip={skip}|start={warm_start}|{ckey}",
@@ -591,7 +553,7 @@ impl ArtifactStore {
             // round trip is worth less than the space: persist only
             // entries under the cap (memos and plans — the artifacts that
             // make re-runs incremental — are never capped).
-            if e.as_bytes().len() <= warm_disk_cap() {
+            if e.as_bytes().len() <= WARM_DISK_CAP {
                 disk.store("warm", key, e.as_bytes());
             }
         }
@@ -1118,10 +1080,20 @@ mod tests {
     }
 
     #[test]
+    fn workload_is_shared_across_stores() {
+        let (a, _) = ArtifactStore::new().trace("swim", 7, 100).unwrap();
+        let (b, _) = ArtifactStore::new().trace("swim", 7, 100).unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "layout is paid once per process");
+    }
+
+    #[test]
     fn env_knob_parses() {
-        // Not set in the test environment: sharing defaults on.
-        assert!(ArtifactStore::from_env().is_enabled() == ArtifactStore::enabled_by_env());
-        assert!(!ArtifactStore::disabled().is_enabled());
-        assert!(ArtifactStore::new().is_enabled());
+        // `from_env` attaches a disk tier exactly when the knob names a
+        // directory.
+        assert_eq!(
+            ArtifactStore::from_env().disk_cache().is_some(),
+            ArtifactStore::cache_dir_from_env().is_some()
+        );
+        assert!(ArtifactStore::new().disk_cache().is_none());
     }
 }

@@ -87,7 +87,7 @@ type ProgressFn = dyn Fn(&CellUpdate<'_>) + Send + Sync;
 pub struct Campaign {
     config: ExperimentConfig,
     progress: Option<Box<ProgressFn>>,
-    store: Option<Arc<ArtifactStore>>,
+    store: Arc<ArtifactStore>,
 }
 
 impl std::fmt::Debug for Campaign {
@@ -103,39 +103,22 @@ impl std::fmt::Debug for Campaign {
 impl Campaign {
     /// Creates a campaign over `config`'s (benchmark × mechanism) grid.
     ///
-    /// Unless `MICROLIB_ARTIFACTS` disables sharing, the campaign owns a
-    /// fresh [`ArtifactStore`], so its cells share one trace buffer and
-    /// one warm state per benchmark instead of re-deriving them per
-    /// mechanism. Use [`with_store`](Campaign::with_store) to share
+    /// The campaign owns a fresh [`ArtifactStore`], so its cells share one
+    /// trace buffer and one warm state per benchmark instead of
+    /// re-deriving them per mechanism. Use [`with_store`](Campaign::with_store) to share
     /// artifacts *across* campaigns as well.
     pub fn new(config: ExperimentConfig) -> Self {
-        let store = ArtifactStore::enabled_by_env().then(|| Arc::new(ArtifactStore::new()));
         Campaign {
             config,
             progress: None,
-            store,
+            store: Arc::new(ArtifactStore::new()),
         }
     }
 
-    /// Replaces the campaign's artifact store with a shared one (a
-    /// [disabled](ArtifactStore::disabled) store turns sharing off and
-    /// routes every cell through the legacy cold path).
+    /// Replaces the campaign's artifact store with a shared one.
     pub fn with_store(mut self, store: Arc<ArtifactStore>) -> Self {
-        self.store = store.is_enabled().then_some(store);
+        self.store = store;
         self
-    }
-
-    /// Disables artifact sharing for this campaign: every cell generates
-    /// its trace and runs its full warmup from scratch (the legacy path;
-    /// results are identical either way).
-    pub fn without_artifacts(mut self) -> Self {
-        self.store = None;
-        self
-    }
-
-    /// The campaign's artifact store, if sharing is enabled.
-    pub fn artifact_store(&self) -> Option<&Arc<ArtifactStore>> {
-        self.store.as_ref()
     }
 
     /// Installs a progress callback, invoked from worker threads after
@@ -195,8 +178,7 @@ impl Campaign {
         // One Arc'd configuration for the whole sweep: cells share it
         // instead of deep-cloning SystemConfig per run.
         let system = Arc::new(self.config.system.clone());
-        let disabled = ArtifactStore::disabled();
-        let store = self.store.as_deref().unwrap_or(&disabled);
+        let store = &*self.store;
 
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(self.effective_threads().clamp(1, total.max(1)))

@@ -30,7 +30,7 @@
 //! Every simulation is one [`Cell`] (configuration, benchmark,
 //! mechanism, [`SimOptions`]) run by [`execute`]; the [`ArtifactStore`]
 //! shares traces and warm state between cells and memoizes results
-//! ([`run_one`] is the store-less shorthand).
+//! ([`run_one`] is the shorthand for one cell on a fresh store).
 //!
 //! ```
 //! use microlib::{execute, ArtifactStore, Cell, SimOptions};
@@ -56,8 +56,8 @@
 //! ```
 //!
 //! The `crates/bench` experiment battery (`run_all`) regenerates every
-//! figure and table of the paper; see `DESIGN.md` for the experiment index and
-//! `EXPERIMENTS.md` for measured-vs-paper results.
+//! figure and table of the paper; the README's "Figure/table → experiment
+//! → results map" is the experiment index.
 
 #![warn(missing_docs)]
 

@@ -24,8 +24,7 @@
 //!
 //! The reconstruction is deterministic (slices run in interval order and
 //! combine in fixed order), so sampled campaigns keep the engine's
-//! bit-identical-across-thread-counts guarantee — for any worker count
-//! and with the artifact store on or off.
+//! bit-identical-across-thread-counts guarantee for any worker count.
 
 use crate::artifacts::ArtifactStore;
 use crate::simulator::{simulate, simulate_sampled, Cell, RunResult, SimError, SimOptions};
@@ -33,8 +32,7 @@ use microlib_cpu::CoreStats;
 use microlib_mech::MechanismKind;
 use microlib_model::stats::{SampledPoint, SamplingEstimate};
 use microlib_model::{CacheStats, MechanismStats, MemoryStats, PerfSummary, PrefetchQueueStats};
-use microlib_trace::{benchmarks, SamplingPlan, TraceWindow, Workload};
-use std::sync::Arc;
+use microlib_trace::{SamplingPlan, TraceWindow};
 
 /// How a run covers its trace window.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -110,10 +108,7 @@ impl SamplingMode {
 /// Computes (or fetches) the sampling plan and runs one detailed slice per
 /// representative interval, recombining the results. Called by
 /// [`execute`](crate::execute) when the cell's options sample.
-pub(crate) fn run_sampled(
-    store: Option<&ArtifactStore>,
-    cell: &Cell<'_>,
-) -> Result<RunResult, SimError> {
+pub(crate) fn run_sampled(store: &ArtifactStore, cell: &Cell<'_>) -> Result<RunResult, SimError> {
     let (benchmark, opts) = (cell.benchmark, &cell.opts);
     let SamplingMode::SimPoints {
         interval,
@@ -125,23 +120,7 @@ pub(crate) fn run_sampled(
     };
     let interval = interval.max(1);
     let max_clusters = max_clusters.max(1);
-    let plan = match store {
-        Some(store) => {
-            store.sampling_plan(benchmark, opts.seed, opts.window, interval, max_clusters)?
-        }
-        None => {
-            let profile = benchmarks::by_name(benchmark)
-                .ok_or_else(|| SimError::UnknownBenchmark(benchmark.to_owned()))?;
-            let workload = Workload::new(profile, opts.seed);
-            Arc::new(SamplingPlan::profile(
-                workload.stream(),
-                opts.window,
-                interval,
-                max_clusters,
-                opts.seed,
-            ))
-        }
-    };
+    let plan = store.sampling_plan(benchmark, opts.seed, opts.window, interval, max_clusters)?;
 
     let windows: Vec<TraceWindow> = plan.windows().map(|(w, _)| w).collect();
     let weights: Vec<f64> = plan.windows().map(|(_, weight)| weight).collect();

@@ -10,7 +10,7 @@ use microlib_model::{
     CacheStats, ConfigError, Cycle, HardwareBudget, Mechanism, MechanismStats, MemoryStats,
     PerfSummary, PrefetchQueueStats, SamplingEstimate, SystemConfig,
 };
-use microlib_trace::{benchmarks, InstStream, TraceBuffer, TraceInst, TraceWindow, Workload};
+use microlib_trace::{benchmarks, InstStream, TraceBuffer, TraceInst, TraceWindow};
 use std::fmt;
 use std::sync::Arc;
 
@@ -433,12 +433,12 @@ impl<'a> Cell<'a> {
 
 /// Runs one cell — the single simulation entry point.
 ///
-/// A [disabled](ArtifactStore::disabled) store takes the cold path: fresh
-/// trace generation and full warm-up. An enabled store shares the
-/// mechanism-independent artifacts (the trace buffer and, for mechanisms
-/// whose warm-up is event-replayable, the warm checkpoint) and serves
-/// repeated cells from its memo under [`Cell::key`], custom cells
-/// included. Results are bit-identical either way.
+/// The store shares the mechanism-independent artifacts (the trace buffer
+/// and, for mechanisms whose warm-up is event-replayable, the warm
+/// checkpoint) and serves repeated cells from its memo under
+/// [`Cell::key`], custom cells included. A cell's warm key's first
+/// requester takes the exact full warm path; later ones restore the
+/// checkpoint. Results are bit-identical either way.
 ///
 /// # Errors
 ///
@@ -446,9 +446,6 @@ impl<'a> Cell<'a> {
 /// value-integrity violations, cycle-budget exhaustion, or (under a lease
 /// manager) a quarantined cell.
 pub fn execute(store: &ArtifactStore, cell: &Cell<'_>) -> Result<RunResult, SimError> {
-    if !store.is_enabled() {
-        return simulate_cell(None, cell);
-    }
     let key = cell.key();
     if let Some(hit) = store.memo_probe(&key) {
         return Ok((*hit).clone());
@@ -460,13 +457,18 @@ pub fn execute(store: &ArtifactStore, cell: &Cell<'_>) -> Result<RunResult, SimE
     };
     let result = store.memo_run(&key, &label, benchmark, &repro_hint(&cell.opts), || {
         crate::fault::trigger("cell", &format!("{benchmark}+{mechanism}"));
-        simulate_cell(Some(store), cell)
+        if cell.opts.sampling.is_sampled() {
+            run_sampled(store, cell)
+        } else {
+            simulate(store, cell, 0)
+        }
     })?;
     Ok((*result).clone())
 }
 
-/// Runs one cell on the cold path, without any store — shorthand for
-/// [`execute`] over a [disabled](ArtifactStore::disabled) store.
+/// Runs one cell on a fresh, memory-only store — shorthand for
+/// [`execute`] over [`ArtifactStore::new`]. The cell is its warm key's
+/// first requester, so it takes the exact full warm path.
 ///
 /// # Errors
 ///
@@ -501,16 +503,7 @@ pub fn run_one(
     opts: &SimOptions,
 ) -> Result<RunResult, SimError> {
     let cell = Cell::new(Arc::new(config.clone()), mechanism, benchmark, *opts);
-    execute(&ArtifactStore::disabled(), &cell)
-}
-
-/// Simulates `cell` in full or sampled, as its options ask.
-fn simulate_cell(store: Option<&ArtifactStore>, cell: &Cell<'_>) -> Result<RunResult, SimError> {
-    if cell.opts.sampling.is_sampled() {
-        run_sampled(store, cell)
-    } else {
-        simulate(store, cell, 0)
-    }
+    execute(&ArtifactStore::new(), &cell)
 }
 
 /// The environment part of a quarantined cell's minimized repro command:
@@ -540,15 +533,13 @@ struct Warmed {
 /// over `[warm_start, skip)` (`warm_start` is clamped to the window
 /// start), the instruction stream positioned at `skip`.
 ///
-/// With a store, the trace comes from the shared [`TraceBuffer`] (grown
-/// to `trace_len`) and the warm phase either restores the shared
-/// checkpoint + replays the recorded mechanism events (mechanisms that
-/// opt in via
+/// The trace comes from the store's shared [`TraceBuffer`] (grown to
+/// `trace_len`). The warm phase either restores the shared checkpoint and
+/// replays the recorded mechanism events (mechanisms that opt in via
 /// [`warm_events_only`](microlib_model::Mechanism::warm_events_only)) or
 /// runs the exact full warm path over the shared trace (everything else).
-/// Without a store, the legacy path: generate, initialize, warm.
 fn warmed_system(
-    store: Option<&ArtifactStore>,
+    store: &ArtifactStore,
     cell: &Cell<'_>,
     warm_start: u64,
     trace_len: u64,
@@ -565,47 +556,31 @@ fn warmed_system(
 
     let mut mem = MemorySystem::new(Arc::clone(config), vec![mech])?;
     mem.set_check_values(opts.check_values);
-    let stream = match store {
-        Some(store) => {
-            let (workload, buffer) = store.trace(benchmark, opts.seed, trace_len)?;
-            let mut stream = TraceBuffer::replay(&buffer);
-            let warm = if skip > warm_start && warm_replayable {
-                // Fast path when the store has (or now earns) the shared
-                // checkpoint: restore it and replay only the
-                // mechanism-visible events. The key's first requester
-                // gets `None` and warms in full — capture only pays off
-                // once a state is reused.
-                store.warm_state(benchmark, opts.seed, skip, warm_start, config)?
-            } else {
-                None
-            };
-            match warm {
-                Some(warm) => {
-                    mem.restore_warm(&warm.checkpoint);
-                    mem.replay_warm_events(&warm.log);
-                    stream.advance_to(skip);
-                }
-                None => {
-                    // Exact path over the shared trace (sidecar
-                    // mechanisms, first requesters, or nothing to skip).
-                    workload.initialize(mem.functional_mut());
-                    stream.advance_to(warm_start);
-                    warm_loop(&mut mem, &mut stream, skip - warm_start);
-                }
-            }
-            stream
+    let (workload, buffer) = store.trace(benchmark, opts.seed, trace_len)?;
+    let mut stream = TraceBuffer::replay(&buffer);
+    let warm = if skip > warm_start && warm_replayable {
+        // Fast path when the store has (or now earns) the shared
+        // checkpoint: restore it and replay only the mechanism-visible
+        // events. The key's first requester gets `None` and warms in
+        // full — capture only pays off once a state is reused.
+        store.warm_state(benchmark, opts.seed, skip, warm_start, config)?
+    } else {
+        None
+    };
+    match warm {
+        Some(warm) => {
+            mem.restore_warm(&warm.checkpoint);
+            mem.replay_warm_events(&warm.log);
+            stream.advance_to(skip);
         }
         None => {
-            // Shared instantiation: layout is paid once per (benchmark,
-            // seed) process-wide, not once per run.
-            let workload = Workload::shared(profile, opts.seed);
+            // Exact path over the shared trace (sidecar mechanisms, first
+            // requesters, or nothing to skip).
             workload.initialize(mem.functional_mut());
-            let mut stream = workload.stream();
             stream.advance_to(warm_start);
             warm_loop(&mut mem, &mut stream, skip - warm_start);
-            stream
         }
-    };
+    }
     Ok(Warmed {
         benchmark,
         hardware,
@@ -624,7 +599,7 @@ fn warmed_system(
 /// self-consistent for the integrity checker but approximates the true
 /// architectural state — the accuracy trade the budget buys).
 pub(crate) fn simulate(
-    store: Option<&ArtifactStore>,
+    store: &ArtifactStore,
     cell: &Cell<'_>,
     warm_start: u64,
 ) -> Result<RunResult, SimError> {
@@ -724,7 +699,7 @@ fn build_stretches(windows: &[TraceWindow], floor: u64) -> Vec<Stretch> {
 /// Returns one measured part per plan point, in plan order, each shaped
 /// like a [`RunResult`] of its slice.
 pub(crate) fn simulate_sampled(
-    store: Option<&ArtifactStore>,
+    store: &ArtifactStore,
     cell: &Cell<'_>,
     warm_start: u64,
     windows: &[TraceWindow],

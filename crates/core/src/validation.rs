@@ -65,8 +65,8 @@ pub fn compare_fidelity(
 }
 
 /// One benchmark's speedup under two experimental setups (Fig 2's
-/// reverse-engineering error, reproduced as setup sensitivity — see
-/// DESIGN.md §2 on the substitution for graph-read article numbers).
+/// reverse-engineering error, reproduced as setup sensitivity: the
+/// article setup is simulated instead of reading numbers off graphs).
 #[derive(Clone, Debug)]
 pub struct SetupComparison {
     /// Benchmark name.
@@ -193,7 +193,7 @@ mod tests {
 
     #[test]
     fn idealized_model_is_at_least_as_fast() {
-        let store = ArtifactStore::disabled();
+        let store = ArtifactStore::new();
         let cmp = compare_fidelity(&store, "swim", TraceWindow::new(0, 4_000), 2).unwrap();
         assert!(
             cmp.idealized_ipc >= cmp.detailed_ipc * 0.98,
@@ -213,7 +213,7 @@ mod tests {
 
     #[test]
     fn setup_comparison_runs() {
-        let store = ArtifactStore::disabled();
+        let store = ArtifactStore::new();
         let opts = SimOptions {
             seed: 4,
             window: TraceWindow::new(0, 3_000),
@@ -234,7 +234,7 @@ mod tests {
 
     #[test]
     fn dbcp_variants_both_run() {
-        let store = ArtifactStore::disabled();
+        let store = ArtifactStore::new();
         let cmp = compare_dbcp_variants(&store, "gzip", TraceWindow::new(0, 3_000), 6).unwrap();
         assert!(cmp.initial > 0.0 && cmp.fixed > 0.0);
     }

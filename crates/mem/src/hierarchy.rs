@@ -286,7 +286,6 @@ pub struct MemorySystem {
     integrity: Option<IntegrityError>,
     check_values: bool,
     fault_drop_writebacks: bool,
-    trace_line: Option<Addr>,
     warming: bool,
     warm_prefetch_fill: bool,
     /// `(line, slot)` of the last warm instruction fetch that hit the
@@ -396,10 +395,6 @@ impl MemorySystem {
             l1d_stats_base: CacheStats::default(),
             l1i_stats_base: CacheStats::default(),
             l2_stats_base: CacheStats::default(),
-            trace_line: std::env::var("MICROLIB_TRACE_LINE")
-                .ok()
-                .and_then(|s| u64::from_str_radix(s.trim_start_matches("0x"), 16).ok())
-                .map(Addr::new),
             config,
         })
     }
@@ -436,31 +431,6 @@ impl MemorySystem {
         self.integrity
     }
 
-    /// Debug aid: log every protocol action touching the 32-byte line that
-    /// contains `addr` to stderr (also settable via the
-    /// `MICROLIB_TRACE_LINE` environment variable, hex).
-    pub fn set_trace_line(&mut self, addr: Option<Addr>) {
-        self.trace_line = addr.map(|a| a.line(self.config.l1d.line_bytes));
-    }
-
-    #[inline]
-    fn traced(&self, line: Addr) -> bool {
-        self.trace_line
-            .map(|t| {
-                t.line(self.config.l1d.line_bytes) == line.line(self.config.l1d.line_bytes)
-                    || t.line(self.config.l2.line_bytes) == line.line(self.config.l2.line_bytes)
-            })
-            .unwrap_or(false)
-    }
-
-    /// The message is built lazily: call sites run on the hit path, and
-    /// formatting must cost nothing when line tracing is off.
-    fn trace_event(&self, line: Addr, what: impl FnOnce() -> String) {
-        if self.traced(line) {
-            eprintln!("[{}] {:#x}: {}", self.now.raw(), line.raw(), what());
-        }
-    }
-
     fn fresh_token(&mut self) -> MemToken {
         self.next_token += 1;
         MemToken(self.next_token)
@@ -473,9 +443,6 @@ impl MemorySystem {
     /// Applies a 32-byte writeback from L1 (or a sidecar spill) into the L2
     /// array, allocating on write if the line is absent (Table 1 policy).
     fn apply_writeback_to_l2(&mut self, l1_line: Addr, data: &LineData) {
-        self.trace_event(l1_line, || {
-            format!("writeback to L2 word0={:#x}", data.word(0))
-        });
         if self.fault_drop_writebacks {
             return;
         }
@@ -510,7 +477,6 @@ impl MemorySystem {
     /// data), then write dirty data to the DRAM image and occupy the
     /// memory path.
     fn handle_l2_victim(&mut self, mut victim: Victim) {
-        self.trace_event(victim.line, || format!("L2 evict dirty={}", victim.dirty));
         // Back-invalidation can remove the warm fast paths' cached lines.
         self.warm_last_dline = None;
         self.warm_last_iline = None;
@@ -551,13 +517,6 @@ impl MemorySystem {
 
     /// Handles an L1D victim: offer to the mechanism, else write back.
     fn handle_l1_victim(&mut self, victim: Victim) {
-        self.trace_event(victim.line, || {
-            format!(
-                "L1 evict dirty={} word0={:#x}",
-                victim.dirty,
-                victim.data.word(0)
-            )
-        });
         if victim.untouched_prefetch {
             self.l1d.stats.useless_prefetch_evictions += 1;
         }
@@ -570,13 +529,6 @@ impl MemorySystem {
         };
         if let Some(slot) = &mut self.l1_mech {
             if slot.mech.on_evict(&ev) == VictimAction::Captured {
-                if self.traced(ev.line) {
-                    eprintln!(
-                        "[{}] {:#x}: victim CAPTURED by mechanism",
-                        self.now.raw(),
-                        ev.line.raw()
-                    );
-                }
                 return; // mechanism owns the line (and its dirty data) now
             }
         }
@@ -707,7 +659,6 @@ impl MemorySystem {
 
         if let Some((hit, value)) = hit_result {
             self.l1d.take_port();
-            self.trace_event(line, || format!("L1 {kind} hit at {:#x}", addr.raw()));
             match kind {
                 AccessKind::Load => {
                     self.l1d.stats.loads += 1;
@@ -745,13 +696,6 @@ impl MemorySystem {
                 .and_then(|slot| slot.mech.probe(line, now));
             if let Some(hit) = probe {
                 self.l1d.take_port();
-                self.trace_event(line, || {
-                    format!(
-                        "sidecar probe HIT ({kind}), dirty={} word0={:#x}",
-                        hit.dirty,
-                        hit.data.word(0)
-                    )
-                });
                 self.l1d.stats.sidecar_hits += 1;
                 match kind {
                     AccessKind::Load => self.l1d.stats.loads += 1,
@@ -808,9 +752,6 @@ impl MemorySystem {
                 MshrOutcome::Allocated => {
                     self.next_req += 1;
                     self.l1d.take_port();
-                    self.trace_event(line, || {
-                        format!("L1 {kind} miss allocated at {:#x}", addr.raw())
-                    });
                     self.l1d.miss_lines_this_cycle.push(line.raw());
                     self.l1d.stats.misses += 1;
                     match kind {
@@ -843,7 +784,6 @@ impl MemorySystem {
                 MshrOutcome::Merged => {
                     self.next_req += 1;
                     self.l1d.take_port();
-                    self.trace_event(line, || format!("L1 {kind} merged at {:#x}", addr.raw()));
                     self.l1d.stats.mshr_merges += 1;
                     if was_prefetch {
                         // A demand merged into an in-flight prefetch: the
@@ -1564,13 +1504,6 @@ impl MemorySystem {
         });
         let was_prefetch = entry.map(|e| e.is_prefetch).unwrap_or(false);
         let data = self.functional.dram().read_line(l2_line, 64);
-        self.trace_event(l2_line, || {
-            format!(
-                "L2 refill word0={:#x} prefetch={}",
-                data.word(0),
-                was_prefetch
-            )
-        });
         if !self.l2.array.contains(l2_line) {
             let victim = self.l2.array.fill(l2_line, data, false, was_prefetch);
             if was_prefetch {
@@ -1886,14 +1819,8 @@ impl MemorySystem {
             // flight (probe-hit swap), in which case the buffer copy would
             // go stale the moment the cached copy is written. Discard it.
             if self.l1d.array.contains(fill.l1_line) {
-                self.trace_event(fill.l1_line, || {
-                    "buffer fill discarded (line now L1-resident)".to_owned()
-                });
                 return;
             }
-            self.trace_event(fill.l1_line, || {
-                format!("fill -> mech buffer word0={:#x}", data.word(0))
-            });
             self.l1d.stats.prefetch_fills += 1;
             if let Some(slot) = &mut self.l1_mech {
                 let ev = RefillEvent {
@@ -1936,13 +1863,6 @@ impl MemorySystem {
             }
         }
 
-        self.trace_event(fill.l1_line, || {
-            format!(
-                "L1 fill install word0={:#x} targets={}",
-                data.word(0),
-                targets.len()
-            )
-        });
         if !self.l1d.array.contains(fill.l1_line) {
             let prefetched = fill.prefetched && entry.is_prefetch;
             if prefetched {
@@ -1992,9 +1912,6 @@ impl MemorySystem {
             self.buffer_inflight.swap_remove(pos);
         }
         if self.l1d.array.contains(fill.l1_line) || self.l1d.mshr.contains(fill.l1_line) {
-            self.trace_event(fill.l1_line, || {
-                "buffer fill discarded (resident/in-flight demand)".to_owned()
-            });
             return;
         }
         let data = self
@@ -2011,9 +1928,6 @@ impl MemorySystem {
                     .dram()
                     .read_line(fill.l1_line, self.config.l1d.line_bytes)
             });
-        self.trace_event(fill.l1_line, || {
-            format!("fill -> mech buffer word0={:#x}", data.word(0))
-        });
         self.l1d.stats.prefetch_fills += 1;
         if let Some(slot) = &mut self.l1_mech {
             let ev = RefillEvent {

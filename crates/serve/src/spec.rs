@@ -9,7 +9,7 @@
 //! daemon's streamed lines and the client's direct/local mode, which is
 //! what makes byte-comparing the two a meaningful end-to-end check.
 
-use crate::json::{escape, Json};
+use crate::json::{escape, Json, MAX_WINDOW_INSTS};
 use microlib::{execute, ArtifactStore, Cell, RunResult, SamplingMode, SimOptions};
 use microlib_mech::MechanismKind;
 use microlib_miner::ConfigDelta;
@@ -130,6 +130,14 @@ impl CampaignSpec {
                 .and_then(Json::as_u64)
                 .filter(|&n| n > 0)
                 .ok_or("window needs positive integer \"simulate\"")?;
+            if skip
+                .checked_add(simulate)
+                .is_none_or(|end| end > MAX_WINDOW_INSTS)
+            {
+                return Err(format!(
+                    "window longer than {MAX_WINDOW_INSTS} instructions (skip + simulate)"
+                ));
+            }
             opts.window = TraceWindow::new(skip, simulate);
         }
         if let Some(seed) = doc.get("seed") {
@@ -322,6 +330,21 @@ mod tests {
         ] {
             assert!(CampaignSpec::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn window_is_capped() {
+        let window = |skip: &str, simulate: u64| {
+            CampaignSpec::parse(&format!(
+                r#"{{"benchmarks":["swim"],"window":{{"skip":{skip},"simulate":{simulate}}}}}"#
+            ))
+        };
+        // `skip + simulate` overflows: rejected, not wrapped.
+        assert!(window(r#""0xFFFFFFFFFFFFFFFF""#, 1).is_err());
+        let cap = MAX_WINDOW_INSTS;
+        assert!(window(&(cap - 1).to_string(), 2).is_err());
+        let spec = window(&(cap - 1).to_string(), 1).unwrap();
+        assert_eq!(spec.opts.window.end(), cap);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The 26 synthetic SPEC CPU2000 benchmark profiles.
 //!
 //! Each profile is tuned to reproduce the *behaviour class* the paper (and
-//! the literature it cites) attributes to the benchmark — see DESIGN.md §2
-//! for the substitution argument. Every phase mixes a **hot** stream (a
+//! the literature it cites) attributes to the benchmark. Every phase mixes a **hot** stream (a
 //! small working set that caches well — the stack/globals/hot structures
 //! real programs spend most accesses on) with the benchmark's
 //! *characteristic* streams. Highlights wired to specific paper anecdotes:
@@ -134,7 +133,7 @@ pub const LOW_SENSITIVITY: [&str; 6] = ["wupwise", "bzip2", "crafty", "eon", "pe
 
 /// The five-benchmark selection used in the DBCP article (Table 4; the
 /// exact set is approximated by the five pointer/correlation-friendly
-/// benchmarks — see EXPERIMENTS.md).
+/// benchmarks).
 pub const DBCP_SELECTION: [&str; 5] = ["ammp", "equake", "gzip", "mcf", "twolf"];
 
 /// The twelve-benchmark selection used in the GHB article (Table 4,

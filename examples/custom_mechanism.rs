@@ -102,7 +102,7 @@ impl Mechanism for DirectionalNextLine {
 
 fn main() -> Result<(), microlib::SimError> {
     let config = Arc::new(SystemConfig::baseline());
-    let store = ArtifactStore::disabled();
+    let store = ArtifactStore::new();
     let opts = SimOptions {
         window: TraceWindow::new(80_000, 50_000),
         ..SimOptions::default()

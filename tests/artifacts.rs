@@ -86,7 +86,7 @@ fn custom_mechanisms_share_artifacts_and_memoize() {
         "swim",
         opts(2_000, 1_500),
     );
-    let cold = execute(&ArtifactStore::disabled(), &cell).unwrap();
+    let cold = execute(&ArtifactStore::new(), &cell).unwrap();
     let shared = execute(&store, &cell).unwrap();
     assert_eq!(fingerprint(&cold), fingerprint(&shared));
     let stats = store.stats();
@@ -147,18 +147,21 @@ fn campaign_config() -> ExperimentConfig {
     }
 }
 
-/// Renders a report the way the experiment harnesses do, covering every
-/// counter that reaches a result table.
-fn result_table(report: CampaignReport) -> String {
-    let matrix = report.into_matrix().expect("all cells clean");
+/// Renders a sweep the way the experiment harnesses do, covering every
+/// counter that reaches a result table. `result` looks a cell up.
+fn result_table(
+    cfg: &ExperimentConfig,
+    result: impl Fn(&str, MechanismKind) -> RunResult,
+) -> String {
     let mut rows = Vec::new();
-    for b in matrix.benchmarks() {
+    for b in &cfg.benchmarks {
+        let base = result(b, MechanismKind::Base);
         let mut row = vec![b.clone()];
-        for k in matrix.mechanisms() {
-            let r = matrix.result(b, *k);
+        for k in &cfg.mechanisms {
+            let r = result(b, *k);
             row.push(format!(
                 "{:.9}/{}/{}/{}/{}",
-                matrix.speedup(b, *k),
+                r.perf.speedup_over(&base.perf),
                 r.perf.cycles,
                 r.l1d.misses,
                 r.l2.misses,
@@ -170,17 +173,25 @@ fn result_table(report: CampaignReport) -> String {
     text_table(&["benchmark", "Base", "GHB", "VC", "TK"], &rows)
 }
 
+fn report_table(cfg: &ExperimentConfig, report: CampaignReport) -> String {
+    let matrix = report.into_matrix().expect("all cells clean");
+    result_table(cfg, |b, k| matrix.result(b, k).clone())
+}
+
 #[test]
 fn campaign_tables_match_with_sharing_on_off_and_memoized() {
     let cfg = campaign_config();
-    let cold = result_table(
-        Campaign::new(cfg.clone())
-            .without_artifacts()
-            .run()
-            .unwrap(),
-    );
+    // Sharing off: every cell alone on a fresh store (the full warm path).
+    let opts = SimOptions {
+        seed: cfg.seed,
+        window: cfg.window,
+        sampling: cfg.sampling,
+        ..SimOptions::default()
+    };
+    let cold = result_table(&cfg, |b, k| run_one(&cfg.system, k, b, &opts).unwrap());
     let store = Arc::new(ArtifactStore::new());
-    let shared = result_table(
+    let shared = report_table(
+        &cfg,
         Campaign::new(cfg.clone())
             .with_store(Arc::clone(&store))
             .run()
@@ -193,7 +204,13 @@ fn campaign_tables_match_with_sharing_on_off_and_memoized() {
     );
     // Re-sweeping over the same store is served entirely from the memo.
     let before = store.stats().memo_misses;
-    let memoized = result_table(Campaign::new(cfg).with_store(store.clone()).run().unwrap());
+    let memoized = report_table(
+        &cfg,
+        Campaign::new(cfg.clone())
+            .with_store(store.clone())
+            .run()
+            .unwrap(),
+    );
     assert_eq!(cold.as_bytes(), memoized.as_bytes());
     assert_eq!(
         store.stats().memo_misses,
@@ -203,15 +220,16 @@ fn campaign_tables_match_with_sharing_on_off_and_memoized() {
 }
 
 #[test]
-fn disabled_store_routes_to_cold_path() {
-    let store = ArtifactStore::disabled();
+fn fresh_store_takes_the_full_warm_path() {
+    let store = ArtifactStore::new();
     let config = Arc::new(SystemConfig::baseline_constant_memory());
+    // TP replays its warm-up from the event log once a checkpoint exists.
     let cell = Cell::new(config, MechanismKind::Tp, "swim", opts(500, 500));
     execute(&store, &cell).unwrap();
-    execute(&store, &cell).unwrap();
     let stats = store.stats();
-    assert_eq!(stats.trace_hits + stats.trace_misses, 0);
-    assert_eq!(stats.memo_hits + stats.memo_misses, 0);
+    assert_eq!(stats.warm_declined, 1, "first requester warms in full");
+    assert_eq!(stats.warm_hits + stats.warm_misses, 0, "no checkpoint");
+    assert_eq!((stats.memo_hits, stats.memo_misses), (0, 1));
 }
 
 /// Diagnostic (run with `--ignored --nocapture`): where warm time goes.

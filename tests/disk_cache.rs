@@ -6,7 +6,8 @@
 //! output.
 
 use microlib::{
-    execute, ArtifactStore, Campaign, Cell, ExperimentConfig, RunResult, SamplingMode, SimOptions,
+    execute, run_one, ArtifactStore, Campaign, Cell, ExperimentConfig, RunResult, SamplingMode,
+    SimOptions,
 };
 use microlib_mech::MechanismKind;
 use microlib_model::SystemConfig;
@@ -110,12 +111,15 @@ fn interrupted_campaign_resumes_only_missing_cells() {
     assert_eq!(stats.memo_disk_hits, 4, "journaled cells served from disk");
     assert_eq!(stats.cells_recomputed(), 2, "only the missing cells ran");
 
-    // Byte-identical to a never-interrupted, cache-free campaign.
-    let reference = Campaign::new(full).without_artifacts().run().unwrap();
-    for (a, b) in reference.cells().iter().zip(resumed.cells()) {
-        assert_eq!(a.benchmark, b.benchmark);
-        assert_eq!(a.mechanism, b.mechanism);
-        assert_same_result(a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
+    // Byte-identical to never-interrupted, cache-free cells, each on its
+    // own fresh store (the full warm path).
+    let o = SimOptions {
+        seed: full.seed,
+        ..opts(window)
+    };
+    for cell in resumed.cells() {
+        let reference = run_one(&full.system, cell.mechanism, &cell.benchmark, &o).unwrap();
+        assert_same_result(&reference, cell.outcome.as_ref().unwrap());
     }
     let _ = fs::remove_dir_all(&dir);
 }
@@ -324,16 +328,16 @@ fn warm_states_persist_across_stores() {
 }
 
 #[test]
-fn disabled_and_memory_only_stores_touch_no_disk() {
+fn memory_only_stores_touch_no_disk() {
     let dir = tmp_dir("untouched");
     let config = Arc::new(SystemConfig::baseline_constant_memory());
     let o = opts(TraceWindow::new(0, 1_000));
     let cell = Cell::new(Arc::clone(&config), MechanismKind::Base, "swim", o);
-    // Memory-only store: no directory may appear.
-    execute(&ArtifactStore::new(), &cell).unwrap();
-    // A disabled store ignores with_disk_cache entirely.
-    let disabled = ArtifactStore::disabled().with_disk_cache(&dir);
-    assert!(disabled.disk_cache().is_none());
-    execute(&disabled, &cell).unwrap();
+    // Memory-only stores, shared or per cell: no directory may appear.
+    let store = ArtifactStore::new();
+    assert!(store.disk_cache().is_none());
+    execute(&store, &cell).unwrap();
+    execute(&store, &cell).unwrap();
+    run_one(&config, MechanismKind::Tp, "swim", &o).unwrap();
     assert!(!dir.exists(), "no cache directory was created");
 }

@@ -18,7 +18,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, SystemTime};
 
-/// Serializes tests that arm the (process-global) fault harness.
+/// Serializes tests that arm the (process-global) fault harness, and
+/// tests whose disk writes an armed fault would hit.
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 fn fault_guard() -> std::sync::MutexGuard<'static, ()> {
@@ -187,6 +188,9 @@ fn abandoned_claims_count_toward_quarantine() {
 
 #[test]
 fn single_flight_across_stores_computes_each_cell_once() {
+    // Memo writes go through the fault harness: a torn write armed by
+    // another test would hide the leader's memo from the follower.
+    let _guard = fault_guard();
     let dir = tmp_dir("single-flight");
     let config = Arc::new(SystemConfig::baseline_constant_memory());
     let o = opts(TraceWindow::new(500, 1_500));

@@ -238,7 +238,7 @@ fn dbcp_variants_differ() {
         .custom("initial", || {
             Box::new(DeadBlockPrefetcher::new(DbcpVariant::Initial))
         });
-    let initial = execute(&ArtifactStore::disabled(), &initial).unwrap();
+    let initial = execute(&ArtifactStore::new(), &initial).unwrap();
     // Both run clean; the fixed variant must not be worse than the buggy
     // one (Fig 3's direction).
     let sf = fixed.perf.speedup_over(&base.perf);

@@ -2,7 +2,7 @@
 //! whole-window reconstruction must agree with full simulation within the
 //! reported error bound, for every study mechanism, on a strongly-phased
 //! workload — and sampled campaigns must keep the engine's determinism
-//! guarantees (thread count, artifact store on/off).
+//! guarantees (thread count, shared vs per-cell store).
 
 use microlib::{
     execute, run_one, ArtifactStore, Campaign, Cell, ExperimentConfig, SamplingMode, SimOptions,
@@ -113,8 +113,8 @@ fn phased_benchmark_yields_multiple_weighted_slices() {
 }
 
 /// A sampled campaign returns bit-identical results for any thread count
-/// and with the artifact store on or off (plan from replay vs generation,
-/// warm from checkpoints vs cold — all the same numbers).
+/// and equal to each cell run alone on a fresh store (shared plan and warm
+/// checkpoints vs per-cell ones — all the same numbers).
 #[test]
 fn sampled_campaign_deterministic_across_threads_and_store() {
     let cfg = |threads: usize| ExperimentConfig {
@@ -132,16 +132,19 @@ fn sampled_campaign_deterministic_across_threads_and_store() {
     };
     let serial = Campaign::new(cfg(1)).run().unwrap();
     let parallel = Campaign::new(cfg(4)).run().unwrap();
-    let cold = Campaign::new(cfg(2)).without_artifacts().run().unwrap();
-    for ((a, b), c) in serial
-        .cells()
-        .iter()
-        .zip(parallel.cells())
-        .zip(cold.cells())
-    {
+    let reference = cfg(1);
+    let opts = SimOptions {
+        seed: reference.seed,
+        window: reference.window,
+        sampling: reference.sampling,
+        ..SimOptions::default()
+    };
+    for (a, b) in serial.cells().iter().zip(parallel.cells()) {
         let ra = a.outcome.as_ref().unwrap();
         let rb = b.outcome.as_ref().unwrap();
-        let rc = c.outcome.as_ref().unwrap();
+        // Each cell alone on a fresh store: no shared plan, trace or
+        // warm checkpoint.
+        let rc = &run_one(&reference.system, a.mechanism, &a.benchmark, &opts).unwrap();
         assert_eq!(
             ra.perf, rb.perf,
             "{}/{:?}: thread count",
@@ -150,7 +153,7 @@ fn sampled_campaign_deterministic_across_threads_and_store() {
         assert_eq!(ra.l1d, rb.l1d);
         assert_eq!(
             ra.perf, rc.perf,
-            "{}/{:?}: store on vs off",
+            "{}/{:?}: shared vs per-cell store",
             a.benchmark, a.mechanism
         );
         assert_eq!(ra.l1d, rc.l1d);

@@ -201,6 +201,30 @@ fn deeply_nested_body_is_rejected_and_daemon_survives() {
     drop(server);
 }
 
+/// A window of 10^12 instructions would have the cell preallocate
+/// terabytes of trace buffer: the spec is answered 400 before any cell
+/// runs, and `/healthz` still answers afterwards.
+#[test]
+fn oversized_window_is_rejected_and_daemon_survives() {
+    let (server, client) = boot(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    let spec = r#"{"benchmarks":["swim"],"mechanisms":["Base"],
+                   "window":{"skip":1000000000000,"simulate":1}}"#;
+    match client.campaign(spec).expect("campaign request") {
+        CampaignOutcome::Rejected(response) => {
+            assert_eq!(response.status, 400);
+            assert!(response.body.contains("window"), "{}", response.body);
+        }
+        CampaignOutcome::Completed(_) => panic!("oversized window accepted"),
+    }
+    assert!(client
+        .healthz()
+        .expect("healthz after the oversized window"));
+    drop(server);
+}
+
 /// `/metrics` counters move exactly with the requests served, the
 /// gauges settle to zero when the daemon is idle, and the store's
 /// counters agree with what the campaign actually computed.
