@@ -13,12 +13,11 @@
 //! where this approximation and the detailed simulator part ways.
 
 use crate::artifacts::ArtifactStore;
-use crate::simulator::{SimError, SimOptions};
+use crate::simulator::{warmed_system, Cell, SimError, SimOptions, StatsSnapshot, Warmed};
 use microlib_cost::{CpiBreakdown, CpiCounters, CpiModel};
+use microlib_cpu::CoreStats;
 use microlib_mech::MechanismKind;
-use microlib_mem::MemorySystem;
-use microlib_model::{CacheStats, SystemConfig};
-use microlib_trace::TraceBuffer;
+use microlib_model::SystemConfig;
 use std::sync::Arc;
 
 /// One analytic-tier measurement: the counters observed over the window
@@ -42,32 +41,15 @@ impl AnalyticResult {
     }
 }
 
-/// Counter snapshot of the three caches (the analytic tier reads nothing
-/// else).
-#[derive(Clone, Copy, Default)]
-struct WarmSnapshot {
-    l1d: CacheStats,
-    l1i: CacheStats,
-    l2: CacheStats,
-}
-
-impl WarmSnapshot {
-    fn capture(mem: &MemorySystem) -> Self {
-        WarmSnapshot {
-            l1d: mem.l1d_stats(),
-            l1i: mem.l1i_stats(),
-            l2: mem.l2_stats(),
-        }
-    }
-}
-
 /// Runs the analytic tier for one (configuration, mechanism, benchmark)
 /// cell: functional warm over the skip prefix, a counter-measured
 /// functional pass over the window (with prefetches applied), and the
 /// [`CpiModel`] stack over the measured deltas.
 ///
-/// The trace comes from `store`'s shared buffer (the same buffer detailed
-/// runs replay, so both tiers see an identical instruction stream).
+/// The warm phase is the detailed tier's own prologue: the same shared
+/// trace buffer, and for mechanisms whose warm-up is event-replayable the
+/// same shared warm checkpoint, so both tiers start the window from
+/// identical inputs by construction.
 ///
 /// # Errors
 ///
@@ -100,45 +82,40 @@ pub fn run_analytic(
     benchmark: &str,
     opts: &SimOptions,
 ) -> Result<AnalyticResult, SimError> {
-    let (workload, buffer) = store.trace(benchmark, opts.seed, opts.window.end())?;
-    let benchmark = buffer.benchmark();
-
-    let mut mem = MemorySystem::new(Arc::clone(config), vec![mechanism.build()])?;
     // The analytic tier never runs the detailed load path, so the value
     // integrity checker has nothing to verify.
-    mem.set_check_values(false);
-
-    workload.initialize(mem.functional_mut());
-    let mut stream = TraceBuffer::replay(&buffer);
-
-    // Warm prefix: the plain drop-prefetch warm mode, matching the warm
-    // phase every detailed run uses before its window.
-    for _ in 0..opts.window.skip {
-        let Some(inst) = stream.next() else { break };
-        mem.warm_inst(inst.pc, inst.warm_mem_ref());
-    }
+    let opts = SimOptions {
+        check_values: false,
+        ..*opts
+    };
+    let cell = Cell::new(Arc::clone(config), mechanism, benchmark, opts);
+    let Warmed {
+        benchmark,
+        mut mem,
+        mut stream,
+        ..
+    } = warmed_system(store, &cell, 0, opts.window.end())?;
 
     // Measured window: prefetches now apply functionally, so prefetching
     // mechanisms shape the miss counters the way a continuous detailed
     // run would let them.
     mem.set_warm_prefetch_fill(true);
-    let before = WarmSnapshot::capture(&mem);
+    let before = StatsSnapshot::capture(CoreStats::default(), &mem);
     let mut instructions = 0u64;
     for _ in 0..opts.window.simulate {
         let Some(inst) = stream.next() else { break };
         mem.warm_inst(inst.pc, inst.warm_mem_ref());
         instructions += 1;
     }
-    let after = WarmSnapshot::capture(&mem);
+    let d = before.delta_from(&StatsSnapshot::capture(CoreStats::default(), &mem));
 
     let counters = CpiCounters {
         instructions,
-        data_accesses: (after.l1d.loads - before.l1d.loads)
-            + (after.l1d.stores - before.l1d.stores),
-        l1d_misses: after.l1d.misses - before.l1d.misses,
-        sidecar_hits: after.l1d.sidecar_hits - before.l1d.sidecar_hits,
-        l1i_misses: after.l1i.misses - before.l1i.misses,
-        l2_misses: after.l2.misses - before.l2.misses,
+        data_accesses: d.l1d.loads + d.l1d.stores,
+        l1d_misses: d.l1d.misses,
+        sidecar_hits: d.l1d.sidecar_hits,
+        l1i_misses: d.l1i.misses,
+        l2_misses: d.l2.misses,
     };
     let breakdown = CpiModel::for_config(config).predict(&counters);
     Ok(AnalyticResult {

@@ -25,6 +25,13 @@
 //!   custom mechanisms, the variant tag), so re-sweeps and overlapping
 //!   experiments get identical cells for free.
 //!
+//! All four classes live in the same keyed tier: one slot per key, whose
+//! mutex is the single-flight gate. The first requester of a key computes
+//! under the slot lock; a concurrent same-key requester waits on that lock
+//! and then reads the result, while requests for other keys proceed in
+//! parallel. A cell whose computation fails or panics leaves its slot
+//! empty and drops it, so a waiter retries the cell itself.
+//!
 //! Sharing never changes results: replayed traces are
 //! instruction-for-instruction identical to streamed ones, warm replay
 //! reproduces the exact per-mechanism warm effects for mechanisms that
@@ -52,17 +59,20 @@
 //! detected (checksums + embedded keys) and silently recomputed.
 
 use crate::disk::DiskCache;
-use crate::lease::{Claim, LeaseManager};
+use crate::lease::{quarantined_error, Claim, LeaseManager};
 use crate::shard::ShardSpec;
 use crate::simulator::{RunResult, SimError};
-use microlib_mem::{capture_warm_state, WarmState};
-use microlib_model::codec::{BinCodec, Decoder, Encoder};
+use microlib_mem::{capture_warm_state, FunctionalMemory, WarmState};
+use microlib_model::codec::BinCodec;
 use microlib_model::SystemConfig;
 use microlib_trace::{benchmarks, SamplingPlan, TraceBuffer, TraceWindow, Workload};
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::Hash;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 /// A stable identity string for a [`SystemConfig`]: every field, via the
@@ -79,10 +89,49 @@ pub fn config_key(config: &SystemConfig) -> String {
 /// re-record than to store per configuration.
 const WARM_DISK_CAP: usize = 8 << 20;
 
-#[derive(Default)]
-struct TraceSlot {
-    state: Mutex<Option<(Arc<Workload>, Arc<TraceBuffer>)>>,
+/// Locks `m`, recovering the data of a lock poisoned by a panicking
+/// holder: every slot is valid at any point a computation can unwind.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
+
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+fn read(counter: &AtomicU64) -> u64 {
+    counter.load(Ordering::Relaxed)
+}
+
+/// One artifact class: a slot per key — its mutex is the key's
+/// single-flight gate — plus the class's hit, miss and disk-hit counters.
+#[derive(Default)]
+struct Tier<K, S> {
+    slots: Mutex<HashMap<K, Arc<Mutex<S>>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    disk_hits: AtomicU64,
+}
+
+impl<K: Hash + Eq, S: Default> Tier<K, S> {
+    /// The slot for `key`, created empty on first request. The key is
+    /// only copied when a slot is created.
+    fn slot<Q>(&self, key: &Q) -> Arc<Mutex<S>>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
+    {
+        let mut slots = lock(&self.slots);
+        match slots.get(key) {
+            Some(slot) => Arc::clone(slot),
+            None => Arc::clone(slots.entry(key.to_owned()).or_default()),
+        }
+    }
+}
+
+/// The trace slot of one (benchmark, seed): its workload and the longest
+/// buffer captured so far.
+type TraceState = Option<(Arc<Workload>, Arc<TraceBuffer>)>;
 
 /// Capture gate for one warm key: the first requester is told to take
 /// the (equally priced) full warm path; the capture — which costs roughly
@@ -100,51 +149,14 @@ struct WarmGate {
     last_used: u64,
 }
 
-/// One in-flight computation of a memoized cell in this process: the
-/// first requester of a key becomes the *leader* and computes; concurrent
-/// same-key requesters block on the condvar until the leader completes,
-/// then re-probe the memo instead of re-simulating (single-flight).
-#[derive(Default)]
-struct Flight {
-    done: Mutex<bool>,
-    cv: Condvar,
-}
-
-/// Deregisters a leader's flight and wakes its followers — on success,
-/// failure, *and* panic (the guard drops during unwinding, so followers
-/// never deadlock on a crashed leader).
-struct FlightGuard<'a> {
-    store: &'a ArtifactStore,
-    key: &'a str,
-    flight: Arc<Flight>,
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        self.store
-            .inflight
-            .lock()
-            .expect("inflight lock")
-            .remove(self.key);
-        *self.flight.done.lock().expect("flight lock") = true;
-        self.flight.cv.notify_all();
-    }
-}
 /// (benchmark, seed, skip, warm start, configuration key) — see
 /// [`config_key`].
 type WarmKey = (&'static str, u64, u64, u64, String);
 
-/// One sampling plan per (benchmark, seed, region, interval, cluster
-/// cap): the slot lock serializes concurrent same-key profiling requests
-/// behind one builder.
-#[derive(Default)]
-struct PlanSlot {
-    state: Mutex<Option<Arc<SamplingPlan>>>,
-}
 /// (benchmark, seed, region skip, region simulate, interval, max clusters).
 type PlanKey = (&'static str, u64, u64, u64, u64, usize);
 
-/// Hit/miss counters for the three artifact classes (observability; the
+/// Hit/miss counters for the four artifact classes (observability; the
 /// numbers are reported by `run_all` on stderr).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArtifactStoreStats {
@@ -182,9 +194,10 @@ pub struct ArtifactStoreStats {
     /// Cells refused because they were quarantined (crashed too many
     /// consecutive claimers).
     pub cells_quarantined: u64,
-    /// Same-key cell requests that arrived while the cell was already
-    /// being computed in this process and waited for the leader's memo
-    /// instead of re-simulating (in-process single-flight).
+    /// Same-key cell requests that found the cell's memo slot locked —
+    /// in practice, by a leader computing the cell in this process — and
+    /// waited for the leader's memo instead of re-simulating (in-process
+    /// single-flight).
     pub memo_coalesced: u64,
     /// Resident warm states dropped to respect the byte cap set by
     /// [`ArtifactStore::set_warm_resident_cap`].
@@ -228,36 +241,32 @@ impl ArtifactStoreStats {
 pub struct ArtifactStore {
     disk: Option<DiskCache>,
     lease: Option<LeaseManager>,
-    shard: Option<ShardSpec>,
-    steal_grace: Duration,
-    traces: Mutex<HashMap<(&'static str, u64), Arc<TraceSlot>>>,
-    warm: Mutex<HashMap<WarmKey, Arc<Mutex<WarmGate>>>>,
-    plans: Mutex<HashMap<PlanKey, Arc<PlanSlot>>>,
-    memo: Mutex<HashMap<String, Arc<RunResult>>>,
-    inflight: Mutex<HashMap<String, Arc<Flight>>>,
+    /// This process's shard and its steal grace (see
+    /// [`with_shard`](Self::with_shard)).
+    shard: Option<(ShardSpec, Duration)>,
+    traces: Tier<(&'static str, u64), TraceState>,
+    warm: Tier<WarmKey, WarmGate>,
+    plans: Tier<PlanKey, Option<Arc<SamplingPlan>>>,
+    memo: Tier<String, Option<Arc<RunResult>>>,
     /// Resident warm-state budget in bytes (`u64::MAX` = unbounded).
     warm_cap: AtomicU64,
     /// Approximate bytes currently held by resident warm states.
     warm_bytes: AtomicU64,
     /// Monotone tick stamping warm-state recency for LRU eviction.
     warm_tick: AtomicU64,
-    trace_hits: AtomicU64,
-    trace_misses: AtomicU64,
-    warm_hits: AtomicU64,
-    warm_misses: AtomicU64,
+    counts: Counts,
+}
+
+/// The counters outside the tiers' hit/miss/disk-hit triples (see
+/// [`ArtifactStoreStats`]).
+#[derive(Default)]
+struct Counts {
     warm_declined: AtomicU64,
-    plan_hits: AtomicU64,
-    plan_misses: AtomicU64,
-    memo_hits: AtomicU64,
-    memo_misses: AtomicU64,
-    memo_disk_hits: AtomicU64,
-    plan_disk_hits: AtomicU64,
-    warm_disk_hits: AtomicU64,
+    warm_evictions: AtomicU64,
+    memo_coalesced: AtomicU64,
     lease_claims: AtomicU64,
     lease_waits: AtomicU64,
     cells_quarantined: AtomicU64,
-    memo_coalesced: AtomicU64,
-    warm_evictions: AtomicU64,
 }
 
 impl std::fmt::Debug for ArtifactStore {
@@ -282,37 +291,14 @@ impl ArtifactStore {
             disk: None,
             lease: None,
             shard: None,
-            steal_grace: Duration::from_millis(
-                std::env::var("MICROLIB_STEAL_GRACE_MS")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(1_500),
-            ),
-            traces: Mutex::new(HashMap::new()),
-            warm: Mutex::new(HashMap::new()),
-            plans: Mutex::new(HashMap::new()),
-            memo: Mutex::new(HashMap::new()),
-            inflight: Mutex::new(HashMap::new()),
+            traces: Tier::default(),
+            warm: Tier::default(),
+            plans: Tier::default(),
+            memo: Tier::default(),
             warm_cap: AtomicU64::new(u64::MAX),
-            warm_bytes: AtomicU64::new(0),
-            warm_tick: AtomicU64::new(0),
-            trace_hits: AtomicU64::new(0),
-            trace_misses: AtomicU64::new(0),
-            warm_hits: AtomicU64::new(0),
-            warm_misses: AtomicU64::new(0),
-            warm_declined: AtomicU64::new(0),
-            plan_hits: AtomicU64::new(0),
-            plan_misses: AtomicU64::new(0),
-            memo_hits: AtomicU64::new(0),
-            memo_misses: AtomicU64::new(0),
-            memo_disk_hits: AtomicU64::new(0),
-            plan_disk_hits: AtomicU64::new(0),
-            warm_disk_hits: AtomicU64::new(0),
-            lease_claims: AtomicU64::new(0),
-            lease_waits: AtomicU64::new(0),
-            cells_quarantined: AtomicU64::new(0),
-            memo_coalesced: AtomicU64::new(0),
-            warm_evictions: AtomicU64::new(0),
+            warm_bytes: AtomicU64::default(),
+            warm_tick: AtomicU64::default(),
+            counts: Counts::default(),
         }
     }
 
@@ -343,11 +329,15 @@ impl ArtifactStore {
 
     /// Sets this process's shard: memo misses on cells *another* shard
     /// owns first wait out a grace period (`MICROLIB_STEAL_GRACE_MS`,
-    /// default 1500 ms) for the owner's memo before claiming the cell
-    /// themselves — the partition steers work while the lease layer
-    /// keeps it correct and live (see [`ShardSpec`]).
+    /// default 1500 ms, read here) for the owner's memo before claiming
+    /// the cell themselves — the partition steers work while the lease
+    /// layer keeps it correct and live (see [`ShardSpec`]).
     pub fn with_shard(mut self, shard: ShardSpec) -> Self {
-        self.shard = Some(shard);
+        let grace_ms = std::env::var("MICROLIB_STEAL_GRACE_MS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(1_500);
+        self.shard = Some((shard, Duration::from_millis(grace_ms)));
         self
     }
 
@@ -388,24 +378,25 @@ impl ArtifactStore {
 
     /// Hit/miss counters accumulated so far.
     pub fn stats(&self) -> ArtifactStoreStats {
+        let counts = &self.counts;
         ArtifactStoreStats {
-            trace_hits: self.trace_hits.load(Ordering::Relaxed),
-            trace_misses: self.trace_misses.load(Ordering::Relaxed),
-            warm_hits: self.warm_hits.load(Ordering::Relaxed),
-            warm_misses: self.warm_misses.load(Ordering::Relaxed),
-            warm_declined: self.warm_declined.load(Ordering::Relaxed),
-            plan_hits: self.plan_hits.load(Ordering::Relaxed),
-            plan_misses: self.plan_misses.load(Ordering::Relaxed),
-            memo_hits: self.memo_hits.load(Ordering::Relaxed),
-            memo_misses: self.memo_misses.load(Ordering::Relaxed),
-            memo_disk_hits: self.memo_disk_hits.load(Ordering::Relaxed),
-            plan_disk_hits: self.plan_disk_hits.load(Ordering::Relaxed),
-            warm_disk_hits: self.warm_disk_hits.load(Ordering::Relaxed),
-            lease_claims: self.lease_claims.load(Ordering::Relaxed),
-            lease_waits: self.lease_waits.load(Ordering::Relaxed),
-            cells_quarantined: self.cells_quarantined.load(Ordering::Relaxed),
-            memo_coalesced: self.memo_coalesced.load(Ordering::Relaxed),
-            warm_evictions: self.warm_evictions.load(Ordering::Relaxed),
+            trace_hits: read(&self.traces.hits),
+            trace_misses: read(&self.traces.misses),
+            warm_hits: read(&self.warm.hits),
+            warm_misses: read(&self.warm.misses),
+            warm_declined: read(&counts.warm_declined),
+            plan_hits: read(&self.plans.hits),
+            plan_misses: read(&self.plans.misses),
+            memo_hits: read(&self.memo.hits),
+            memo_misses: read(&self.memo.misses),
+            memo_disk_hits: read(&self.memo.disk_hits),
+            plan_disk_hits: read(&self.plans.disk_hits),
+            warm_disk_hits: read(&self.warm.disk_hits),
+            lease_claims: read(&counts.lease_claims),
+            lease_waits: read(&counts.lease_waits),
+            cells_quarantined: read(&counts.cells_quarantined),
+            memo_coalesced: read(&counts.memo_coalesced),
+            warm_evictions: read(&counts.warm_evictions),
         }
     }
 
@@ -429,21 +420,15 @@ impl ArtifactStore {
     ) -> Result<(Arc<Workload>, Arc<TraceBuffer>), SimError> {
         let profile = benchmarks::by_name(benchmark)
             .ok_or_else(|| SimError::UnknownBenchmark(benchmark.to_owned()))?;
-        let slot = {
-            let mut traces = self.traces.lock().expect("trace map lock");
-            Arc::clone(traces.entry((profile.name, seed)).or_default())
-        };
-        // Per-slot lock: concurrent requests for the same (benchmark,
-        // seed) wait for one builder instead of duplicating the capture;
-        // requests for other benchmarks proceed in parallel.
-        let mut state = slot.state.lock().expect("trace slot lock");
+        let slot = self.traces.slot(&(profile.name, seed));
+        let mut state = lock(&slot);
         if let Some((workload, buffer)) = state.as_ref() {
             if buffer.len() >= min_len {
-                self.trace_hits.fetch_add(1, Ordering::Relaxed);
+                bump(&self.traces.hits);
                 return Ok((Arc::clone(workload), Arc::clone(buffer)));
             }
         }
-        self.trace_misses.fetch_add(1, Ordering::Relaxed);
+        bump(&self.traces.misses);
         let workload = match state.take() {
             Some((workload, _short)) => workload,
             None => Workload::shared(profile, seed),
@@ -480,98 +465,81 @@ impl ArtifactStore {
         config.validate()?;
         let warm_start = warm_start.min(skip);
         let (workload, buffer) = self.trace(benchmark, seed, skip)?;
-        let ckey = config_key(config);
-        let gate = {
-            let mut warm = self.warm.lock().expect("warm map lock");
-            Arc::clone(
-                warm.entry((buffer.benchmark(), seed, skip, warm_start, ckey.clone()))
-                    .or_default(),
-            )
-        };
-        // Per-key lock: a concurrent same-key requester waits for the
-        // capture instead of duplicating it.
-        let mut gate = gate.lock().expect("warm gate lock");
+        let key = (
+            buffer.benchmark(),
+            seed,
+            skip,
+            warm_start,
+            config_key(config),
+        );
+        let slot = self.warm.slot(&key);
+        let mut gate = lock(&slot);
         if let Some(state) = gate.state.clone() {
-            self.warm_hits.fetch_add(1, Ordering::Relaxed);
+            bump(&self.warm.hits);
             gate.last_used = self.warm_tick.fetch_add(1, Ordering::Relaxed);
             return Ok(Some(state));
         }
         // The disk key is only built when a disk tier exists: most warm
         // requests resolve in memory (hit, or first-requester decline), and
         // the formatting must cost nothing there.
-        let disk_key = self.disk.as_ref().map(|_| {
-            format!(
-                "{}|seed={:#x}|skip={skip}|start={warm_start}|{ckey}",
-                buffer.benchmark(),
-                seed,
-            )
+        let disk = self.disk.as_ref().map(|disk| {
+            let (benchmark, _, _, _, ckey) = &key;
+            let disk_key =
+                format!("{benchmark}|seed={seed:#x}|skip={skip}|start={warm_start}|{ckey}");
+            (disk, disk_key)
         });
+        // Warm entries encode the functional memory as a delta against the
+        // workload's initial image, regenerated on demand (cheap: the
+        // workload keeps a prebuilt copy-on-write image).
+        let base = || {
+            let mut base = FunctionalMemory::new();
+            workload.initialize(&mut base);
+            base
+        };
         // A disk hit short-circuits the capture gate entirely: the state
-        // was already earned by an earlier process. Warm entries encode
-        // the functional memory as a delta against the workload's initial
-        // image, which is regenerated here (cheap: the workload keeps a
-        // prebuilt copy-on-write image).
-        if let Some(payload) = self
-            .disk
-            .as_ref()
-            .zip(disk_key.as_deref())
-            .and_then(|(d, key)| d.load("warm", key))
-        {
-            let mut base = microlib_mem::FunctionalMemory::new();
-            workload.initialize(&mut base);
-            let mut d = Decoder::new(&payload);
-            if let Ok(state) =
-                WarmState::decode(&mut d, config, &base).and_then(|s| d.finish().map(|_| s))
-            {
-                self.warm_disk_hits.fetch_add(1, Ordering::Relaxed);
-                let state = Arc::new(state);
-                self.warm_install(&mut gate, &state);
-                drop(gate);
-                self.enforce_warm_cap();
-                return Ok(Some(state));
+        // was already earned by an earlier process.
+        let loaded = disk.as_ref().and_then(|(disk, key)| {
+            disk.load_with("warm", key, |d| WarmState::decode(d, config, &base()))
+        });
+        let state = match loaded {
+            Some(state) => {
+                bump(&self.warm.disk_hits);
+                Arc::new(state)
             }
-        }
-        gate.requests += 1;
-        if gate.requests < 2 {
-            self.warm_declined.fetch_add(1, Ordering::Relaxed);
-            return Ok(None);
-        }
-        self.warm_misses.fetch_add(1, Ordering::Relaxed);
-        let insts = TraceBuffer::replay_from(&buffer, warm_start)
-            .take((skip - warm_start) as usize)
-            .map(|inst| (inst.pc, inst.warm_mem_ref()));
-        let state = Arc::new(
-            capture_warm_state(Arc::clone(config), |fm| workload.initialize(fm), insts)
-                .expect("configuration validated above"),
-        );
-        if let Some((disk, key)) = self.disk.as_ref().zip(disk_key.as_deref()) {
-            let mut base = microlib_mem::FunctionalMemory::new();
-            workload.initialize(&mut base);
-            let mut e = Encoder::new();
-            state.encode(&base, &mut e);
-            // Long warm phases produce multi-ten-MB event logs whose disk
-            // round trip is worth less than the space: persist only
-            // entries under the cap (memos and plans — the artifacts that
-            // make re-runs incremental — are never capped).
-            if e.as_bytes().len() <= WARM_DISK_CAP {
-                disk.store("warm", key, e.as_bytes());
+            None => {
+                gate.requests += 1;
+                if gate.requests < 2 {
+                    bump(&self.counts.warm_declined);
+                    return Ok(None);
+                }
+                bump(&self.warm.misses);
+                let insts = TraceBuffer::replay_from(&buffer, warm_start)
+                    .take((skip - warm_start) as usize)
+                    .map(|inst| (inst.pc, inst.warm_mem_ref()));
+                let state = Arc::new(
+                    capture_warm_state(Arc::clone(config), |fm| workload.initialize(fm), insts)
+                        .expect("configuration validated above"),
+                );
+                // Long warm phases produce multi-ten-MB event logs whose
+                // disk round trip is worth less than the space: persist
+                // only entries under the cap (memos and plans — the
+                // artifacts that make re-runs incremental — are never
+                // capped).
+                if let Some((disk, key)) = &disk {
+                    let base = base();
+                    disk.store_with("warm", key, WARM_DISK_CAP, |e| state.encode(&base, e));
+                }
+                state
             }
-        }
-        self.warm_install(&mut gate, &state);
+        };
+        gate.bytes = state.resident_bytes();
+        gate.last_used = self.warm_tick.fetch_add(1, Ordering::Relaxed);
+        gate.state = Some(Arc::clone(&state));
+        self.warm_bytes
+            .fetch_add(gate.bytes as u64, Ordering::Relaxed);
         drop(gate);
         self.enforce_warm_cap();
         Ok(Some(state))
-    }
-
-    /// Records `state` into its gate and charges its footprint against
-    /// the resident byte budget. Callers drop the gate lock and call
-    /// [`enforce_warm_cap`](Self::enforce_warm_cap) afterwards.
-    fn warm_install(&self, gate: &mut WarmGate, state: &Arc<WarmState>) {
-        gate.bytes = state.resident_bytes();
-        gate.last_used = self.warm_tick.fetch_add(1, Ordering::Relaxed);
-        gate.state = Some(Arc::clone(state));
-        self.warm_bytes
-            .fetch_add(gate.bytes as u64, Ordering::Relaxed);
     }
 
     /// Caps the bytes of warm states kept resident between requests:
@@ -587,7 +555,7 @@ impl ArtifactStore {
 
     /// Approximate bytes currently held by resident warm states.
     pub fn warm_resident_bytes(&self) -> u64 {
-        self.warm_bytes.load(Ordering::Relaxed)
+        read(&self.warm_bytes)
     }
 
     /// Evicts least-recently-used warm states until the resident estimate
@@ -596,14 +564,11 @@ impl ArtifactStore {
     /// victim), and skipping them keeps this free of lock-order cycles
     /// with `warm_state`, which calls in while holding its own gate.
     fn enforce_warm_cap(&self) {
-        let cap = self.warm_cap.load(Ordering::Relaxed);
-        if self.warm_bytes.load(Ordering::Relaxed) <= cap {
+        let cap = read(&self.warm_cap);
+        if read(&self.warm_bytes) <= cap {
             return;
         }
-        let gates: Vec<Arc<Mutex<WarmGate>>> = {
-            let warm = self.warm.lock().expect("warm map lock");
-            warm.values().cloned().collect()
-        };
+        let gates: Vec<Arc<Mutex<WarmGate>>> = lock(&self.warm.slots).values().cloned().collect();
         let mut candidates: Vec<(u64, Arc<Mutex<WarmGate>>)> = Vec::new();
         for gate in gates {
             if let Ok(g) = gate.try_lock() {
@@ -614,14 +579,14 @@ impl ArtifactStore {
         }
         candidates.sort_by_key(|(last_used, _)| *last_used);
         for (_, gate) in candidates {
-            if self.warm_bytes.load(Ordering::Relaxed) <= cap {
+            if read(&self.warm_bytes) <= cap {
                 break;
             }
             if let Ok(mut g) = gate.try_lock() {
                 if g.state.take().is_some() {
                     self.warm_bytes.fetch_sub(g.bytes as u64, Ordering::Relaxed);
                     g.bytes = 0;
-                    self.warm_evictions.fetch_add(1, Ordering::Relaxed);
+                    bump(&self.counts.warm_evictions);
                 }
             }
         }
@@ -645,58 +610,49 @@ impl ArtifactStore {
         max_clusters: usize,
     ) -> Result<Arc<SamplingPlan>, SimError> {
         let (_workload, buffer) = self.trace(benchmark, seed, region.end())?;
-        let slot = {
-            let mut plans = self.plans.lock().expect("plan map lock");
-            Arc::clone(
-                plans
-                    .entry((
-                        buffer.benchmark(),
-                        seed,
-                        region.skip,
-                        region.simulate,
-                        interval,
-                        max_clusters,
-                    ))
-                    .or_default(),
-            )
-        };
-        // Per-slot lock: concurrent same-key requests wait for one
-        // profiling pass instead of duplicating it.
-        let mut state = slot.state.lock().expect("plan slot lock");
+        let benchmark = buffer.benchmark();
+        let slot = self.plans.slot(&(
+            benchmark,
+            seed,
+            region.skip,
+            region.simulate,
+            interval,
+            max_clusters,
+        ));
+        let mut state = lock(&slot);
         if let Some(plan) = state.as_ref() {
-            self.plan_hits.fetch_add(1, Ordering::Relaxed);
+            bump(&self.plans.hits);
             return Ok(Arc::clone(plan));
         }
         let disk_key = format!(
-            "{}|seed={seed:#x}|region={}+{}|interval={interval}|k={max_clusters}",
-            buffer.benchmark(),
-            region.skip,
-            region.simulate,
+            "{benchmark}|seed={seed:#x}|region={}+{}|interval={interval}|k={max_clusters}",
+            region.skip, region.simulate,
         );
-        if let Some(payload) = self.disk.as_ref().and_then(|d| d.load("plan", &disk_key)) {
-            let mut d = Decoder::new(&payload);
-            if let Ok(plan) = SamplingPlan::decode(&mut d).and_then(|p| d.finish().map(|_| p)) {
-                self.plan_disk_hits.fetch_add(1, Ordering::Relaxed);
-                let plan = Arc::new(plan);
-                *state = Some(Arc::clone(&plan));
-                return Ok(plan);
+        let loaded = self
+            .disk
+            .as_ref()
+            .and_then(|disk| disk.load_with("plan", &disk_key, SamplingPlan::decode));
+        let plan = match loaded {
+            Some(plan) => {
+                bump(&self.plans.disk_hits);
+                plan
             }
-        }
-        self.plan_misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(SamplingPlan::profile(
-            TraceBuffer::replay(&buffer),
-            region,
-            interval,
-            max_clusters,
-            seed,
-        ));
-        if let Some(disk) = &self.disk {
-            let mut e = Encoder::new();
-            plan.encode(&mut e);
-            disk.store("plan", &disk_key, e.as_bytes());
-        }
-        *state = Some(Arc::clone(&plan));
-        Ok(plan)
+            None => {
+                bump(&self.plans.misses);
+                let plan = SamplingPlan::profile(
+                    TraceBuffer::replay(&buffer),
+                    region,
+                    interval,
+                    max_clusters,
+                    seed,
+                );
+                if let Some(disk) = &self.disk {
+                    disk.store_with("plan", &disk_key, usize::MAX, |e| plan.encode(e));
+                }
+                plan
+            }
+        };
+        Ok(Arc::clone(state.insert(Arc::new(plan))))
     }
 
     /// Drops all cached warm states (the largest artifacts). Long-lived
@@ -705,187 +661,152 @@ impl ArtifactStore {
     /// while traces and the result memo stay useful across experiments
     /// and are kept.
     pub fn clear_warm_states(&self) {
-        self.warm.lock().expect("warm map lock").clear();
+        lock(&self.warm.slots).clear();
         self.warm_bytes.store(0, Ordering::Relaxed);
     }
 
-    /// RAM-then-disk memo lookup that counts *hits only* — a miss is not
-    /// a `memo_misses` yet, because under leases the caller may wait for
-    /// another worker's memo instead of computing. `memo_misses` (the
-    /// "cells recomputed" number) is counted exactly once per actual
-    /// computation, in [`memo_run`](ArtifactStore::memo_run).
-    pub(crate) fn memo_probe(&self, key: &str) -> Option<Arc<RunResult>> {
-        if let Some(hit) = self.memo.lock().expect("memo lock").get(key).cloned() {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(hit);
-        }
-        if let Some(payload) = self.disk.as_ref().and_then(|d| d.load("memo", key)) {
-            let mut d = Decoder::new(&payload);
-            if let Ok(result) = RunResult::decode(&mut d).and_then(|r| d.finish().map(|_| r)) {
-                self.memo_disk_hits.fetch_add(1, Ordering::Relaxed);
-                let result = Arc::new(result);
-                self.memo
-                    .lock()
-                    .expect("memo lock")
-                    .insert(key.to_owned(), Arc::clone(&result));
-                return Some(result);
-            }
-        }
-        None
-    }
-
-    /// Resolves a memoized cell: probe, else compute-and-journal —
-    /// through the lease layer when one is attached, so across concurrent
-    /// processes each cell is computed at most once.
+    /// Resolves a memoized cell: its memo, else — as the key's leader —
+    /// its disk journal entry or a fresh computation, journaled at once.
+    /// With a lease manager attached the leader claims the cell's lease
+    /// first, so across concurrent processes each cell is computed at
+    /// most once.
     ///
-    /// Without a lease manager this is exactly the old miss path: count
-    /// the miss, run `compute`, journal. With one, the claim loop of the
-    /// [`LeaseManager`] docs runs instead; `cell` and `repro` feed its
-    /// quarantine reports, and a panic unwinding out of `compute`
+    /// The key's slot lock is the in-process single-flight: a same-key
+    /// request that finds it held counts `memo_coalesced`, waits, and then
+    /// reads the leader's result as a hit, so N concurrent requests cost
+    /// one lease claim and one simulation. A leader whose computation
+    /// fails or panics drops its empty slot; a waiter that wakes to it
+    /// goes back to the map and leads the cell itself. `memo_misses` (the
+    /// "cells recomputed" number) counts actual computations only.
+    ///
+    /// `describe` yields the cell label and repro hint of the lease
+    /// layer's quarantine reports; a panic unwinding out of `compute`
     /// abandons the claim (counting toward quarantine) before resuming.
     pub(crate) fn memo_run(
         &self,
         key: &str,
-        cell: &str,
         benchmark: &str,
-        repro: &str,
+        describe: impl FnOnce() -> (String, String),
         compute: impl FnOnce() -> Result<RunResult, SimError>,
     ) -> Result<Arc<RunResult>, SimError> {
-        // In-process single-flight: concurrent same-key requests elect
-        // one leader; the rest block until its memo lands. This layers
-        // *under* the lease protocol — the leader still claims the
-        // cross-process lease — so N concurrent requests in one process
-        // cost one lease claim and one simulation, not N.
-        enum Role {
-            Leader(Arc<Flight>),
-            Follower(Arc<Flight>),
-        }
-        let mut compute = Some(compute);
         loop {
-            if let Some(hit) = self.memo_probe(key) {
-                return Ok(hit);
-            }
-            let role = {
-                let mut inflight = self.inflight.lock().expect("inflight lock");
-                match inflight.get(key) {
-                    Some(flight) => Role::Follower(Arc::clone(flight)),
-                    None => {
-                        let flight = Arc::new(Flight::default());
-                        inflight.insert(key.to_owned(), Arc::clone(&flight));
-                        Role::Leader(flight)
-                    }
+            let slot = self.memo.slot(key);
+            let mut memo = match slot.try_lock() {
+                Ok(memo) => memo,
+                Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+                Err(TryLockError::WouldBlock) => {
+                    bump(&self.counts.memo_coalesced);
+                    lock(&slot)
                 }
             };
-            match role {
-                Role::Leader(flight) => {
-                    let _deregister = FlightGuard {
-                        store: self,
-                        key,
-                        flight,
-                    };
-                    let compute = compute.take().expect("leadership is acquired once");
-                    return self.memo_run_leader(key, cell, benchmark, repro, compute);
-                }
-                Role::Follower(flight) => {
-                    self.memo_coalesced.fetch_add(1, Ordering::Relaxed);
-                    let mut done = flight.done.lock().expect("flight lock");
-                    while !*done {
-                        done = flight.cv.wait(done).expect("flight lock");
-                    }
-                    // Leader finished: on success the probe at the top of
-                    // the loop hits its memo; on failure (or panic) this
-                    // request retries for leadership and computes itself.
-                }
+            if let Some(hit) = memo.as_ref() {
+                bump(&self.memo.hits);
+                return Ok(Arc::clone(hit));
             }
+            // An empty slot the map no longer holds is a failed leader's:
+            // a result stored there would land outside the map.
+            let current = lock(&self.memo.slots)
+                .get(key)
+                .is_some_and(|held| Arc::ptr_eq(held, &slot));
+            if !current {
+                continue;
+            }
+            let led = catch_unwind(AssertUnwindSafe(|| {
+                self.memo_lead(key, benchmark, describe, compute)
+            }));
+            return match led {
+                Ok(Ok(result)) => Ok(Arc::clone(memo.insert(result))),
+                failed => {
+                    lock(&self.memo.slots).remove(key);
+                    drop(memo);
+                    failed.unwrap_or_else(|panic| resume_unwind(panic))
+                }
+            };
         }
     }
 
-    /// The compute-and-journal path of [`memo_run`](Self::memo_run), run
-    /// by exactly one thread per key at a time.
-    fn memo_run_leader(
+    /// A memo leader's path past the in-memory miss: the disk journal,
+    /// else the computation, journaled at once. With a lease manager the
+    /// leader first runs the claim loop of the [`LeaseManager`] docs,
+    /// waiting out other processes' leases (and, for cells another shard
+    /// owns, the steal grace) until the memo appears or the claim is ours.
+    fn memo_lead(
         &self,
         key: &str,
-        cell: &str,
         benchmark: &str,
-        repro: &str,
+        describe: impl FnOnce() -> (String, String),
         compute: impl FnOnce() -> Result<RunResult, SimError>,
     ) -> Result<Arc<RunResult>, SimError> {
-        let Some(lease) = &self.lease else {
-            // A prior leader deregisters only after journaling its memo,
-            // so this probe closes the probe→register race: if the key
-            // landed between the caller's probe and our registration, it
-            // is visible here.
-            if let Some(hit) = self.memo_probe(key) {
-                return Ok(hit);
-            }
-            self.memo_misses.fetch_add(1, Ordering::Relaxed);
-            let result = compute()?;
-            self.memo_put(key.to_owned(), result);
-            return Ok(self.memo.lock().expect("memo lock")[key].clone());
+        let journaled = || {
+            let result = self
+                .disk
+                .as_ref()?
+                .load_with("memo", key, RunResult::decode)?;
+            bump(&self.memo.disk_hits);
+            Some(Arc::new(result))
         };
-        // Re-claiming after Busy/steal loops back here; the closure can
-        // only actually run once, so carry it in an Option.
-        let mut compute = Some(compute);
-        let started = Instant::now();
-        let mut waited = false;
-        let mut poll = Duration::from_millis(5);
-        let poll_cap = std::cmp::max(poll, Duration::from_millis(200).min(lease.timeout() / 3));
-        loop {
-            if let Some(hit) = self.memo_probe(key) {
-                if waited {
-                    self.lease_waits.fetch_add(1, Ordering::Relaxed);
+        let mut lease = None;
+        if let Some(manager) = &self.lease {
+            let (cell, repro) = describe();
+            let started = Instant::now();
+            let mut waited = false;
+            let mut poll = Duration::from_millis(5);
+            let poll_cap =
+                std::cmp::max(poll, Duration::from_millis(200).min(manager.timeout() / 3));
+            lease = loop {
+                if let Some(hit) = journaled() {
+                    if waited {
+                        bump(&self.counts.lease_waits);
+                    }
+                    return Ok(hit);
                 }
-                return Ok(hit);
-            }
-            // Shard steering: give the owning shard a grace period to
-            // publish its memo before claiming its cell.
-            if let Some(shard) = &self.shard {
-                if !shard.owns(key) && started.elapsed() < self.steal_grace {
-                    waited = true;
-                    std::thread::sleep(poll);
-                    poll = (poll * 2).min(poll_cap);
-                    continue;
-                }
-            }
-            match lease.claim(key, cell, repro) {
-                Claim::Acquired(guard) => {
-                    self.lease_claims.fetch_add(1, Ordering::Relaxed);
-                    self.memo_misses.fetch_add(1, Ordering::Relaxed);
-                    let compute = compute.take().expect("claim acquired once");
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(compute));
-                    match outcome {
-                        Ok(Ok(result)) => {
-                            self.memo_put(key.to_owned(), result);
-                            guard.complete();
-                            return Ok(self.memo.lock().expect("memo lock")[key].clone());
+                // Shard steering: give the owning shard a grace period to
+                // publish its memo before claiming its cell.
+                let steering = self
+                    .shard
+                    .as_ref()
+                    .is_some_and(|(shard, grace)| !shard.owns(key) && started.elapsed() < *grace);
+                if !steering {
+                    match manager.claim(key, &cell, &repro) {
+                        Claim::Acquired(guard) => {
+                            bump(&self.counts.lease_claims);
+                            break Some(guard);
                         }
-                        Ok(Err(e)) => {
-                            // A deterministic failure, not a crash: the
-                            // guard's Drop releases lease + attempts (a
-                            // retry would fail identically).
-                            drop(guard);
-                            return Err(e);
-                        }
-                        Err(payload) => {
-                            // Crash-like: keep the attempt on record and
-                            // expire the lease so the next claimer
-                            // retries — or quarantines.
-                            guard.abandon();
-                            std::panic::resume_unwind(payload);
+                        Claim::Busy => {}
+                        Claim::Quarantined { attempts } => {
+                            bump(&self.counts.cells_quarantined);
+                            return Err(quarantined_error(benchmark, attempts));
                         }
                     }
                 }
-                Claim::Busy => {
-                    waited = true;
-                    std::thread::sleep(poll);
-                    poll = (poll * 2).min(poll_cap);
-                }
-                Claim::Quarantined { attempts } => {
-                    self.cells_quarantined.fetch_add(1, Ordering::Relaxed);
-                    return Err(crate::lease::quarantined_error(benchmark, attempts));
-                }
-            }
+                waited = true;
+                std::thread::sleep(poll);
+                poll = (poll * 2).min(poll_cap);
+            };
+        } else if let Some(hit) = journaled() {
+            return Ok(hit);
         }
+        bump(&self.memo.misses);
+        let result = match catch_unwind(AssertUnwindSafe(compute)) {
+            // A deterministic failure, not a crash: the lease guard's Drop
+            // releases lease + attempts (a retry would fail identically).
+            Ok(result) => result?,
+            Err(panic) => {
+                // Crash-like: keep the attempt on record and expire the
+                // lease so the next claimer retries — or quarantines.
+                if let Some(guard) = lease {
+                    guard.abandon();
+                }
+                resume_unwind(panic);
+            }
+        };
+        if let Some(disk) = &self.disk {
+            disk.store_with("memo", key, usize::MAX, |e| result.encode(e));
+        }
+        if let Some(guard) = lease {
+            guard.complete();
+        }
+        Ok(Arc::new(result))
     }
 
     /// Clean-shutdown sweep for multi-process runs: releases every lease
@@ -911,21 +832,6 @@ impl ArtifactStore {
         FinishGuard {
             store: Arc::clone(self),
         }
-    }
-
-    /// Journals a completed cell: into RAM and — with a disk tier — as
-    /// one atomically written file, immediately, so a killed campaign
-    /// resumes from exactly the cells that finished.
-    pub(crate) fn memo_put(&self, key: String, result: RunResult) {
-        if let Some(disk) = &self.disk {
-            let mut e = Encoder::new();
-            result.encode(&mut e);
-            disk.store("memo", &key, e.as_bytes());
-        }
-        self.memo
-            .lock()
-            .expect("memo lock")
-            .insert(key, Arc::new(result));
     }
 }
 

@@ -143,6 +143,39 @@ impl DiskCache {
         }
     }
 
+    /// Loads the entry under `(class, key)` and decodes it with `decode`,
+    /// which must consume the whole payload: a decode error or trailing
+    /// bytes make the entry a miss, like any other corruption.
+    pub fn load_with<T>(
+        &self,
+        class: &str,
+        key: &str,
+        decode: impl FnOnce(&mut Decoder<'_>) -> Result<T, CodecError>,
+    ) -> Option<T> {
+        let payload = self.load(class, key)?;
+        let mut d = Decoder::new(&payload);
+        let value = decode(&mut d).ok()?;
+        d.finish().ok()?;
+        Some(value)
+    }
+
+    /// Encodes a payload with `encode` and [`store`](Self::store)s it
+    /// under `(class, key)` — unless it exceeds `cap` bytes, in which case
+    /// nothing is written (`usize::MAX` stores everything).
+    pub fn store_with(
+        &self,
+        class: &str,
+        key: &str,
+        cap: usize,
+        encode: impl FnOnce(&mut Encoder),
+    ) {
+        let mut e = Encoder::new();
+        encode(&mut e);
+        if e.as_bytes().len() <= cap {
+            self.store(class, key, e.as_bytes());
+        }
+    }
+
     /// Fsyncs every entry of `class` and the class directory itself, so
     /// a clean worker exit guarantees its journaled memos survive a
     /// machine crash (rename gives atomicity, not durability). Best
@@ -345,6 +378,22 @@ mod tests {
         fs::copy(&a, &b).unwrap();
         assert!(cache.load("memo", "key-b").is_none(), "wrong key inside");
         assert_eq!(cache.load("memo", "key-a").unwrap(), b"a's payload");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn typed_round_trip_rejects_unread_bytes_and_honours_the_cap() {
+        let root = tmp_root("typed");
+        let cache = DiskCache::new(&root);
+        cache.store_with("mine", "k", usize::MAX, |e| {
+            e.put_u8(7);
+            e.put_u8(8);
+        });
+        assert_eq!(cache.load_with("mine", "k", |d| d.take_u8()), None);
+        cache.store_with("mine", "k", usize::MAX, |e| e.put_u8(7));
+        assert_eq!(cache.load_with("mine", "k", |d| d.take_u8()), Some(7));
+        cache.store_with("mine", "big", 1, |e| e.put_u64(1));
+        assert!(cache.load("mine", "big").is_none(), "over the cap");
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -161,11 +161,11 @@ impl RunResult {
 /// Every monotone counter bundle `simulate` reports, captured mid-run at
 /// measurement boundaries and differenced.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-struct StatsSnapshot {
+pub(crate) struct StatsSnapshot {
     core: CoreStats,
-    l1d: CacheStats,
-    l1i: CacheStats,
-    l2: CacheStats,
+    pub(crate) l1d: CacheStats,
+    pub(crate) l1i: CacheStats,
+    pub(crate) l2: CacheStats,
     memory: MemoryStats,
     mech_l1: Option<MechanismStats>,
     mech_l2: Option<MechanismStats>,
@@ -174,7 +174,7 @@ struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    fn capture(core: CoreStats, mem: &MemorySystem) -> Self {
+    pub(crate) fn capture(core: CoreStats, mem: &MemorySystem) -> Self {
         let (queue_l1, queue_l2) = mem.prefetch_queue_stats();
         StatsSnapshot {
             core,
@@ -190,7 +190,7 @@ impl StatsSnapshot {
     }
 
     /// `end - self`, field by field (all counters are monotone).
-    fn delta_from(&self, end: &StatsSnapshot) -> StatsSnapshot {
+    pub(crate) fn delta_from(&self, end: &StatsSnapshot) -> StatsSnapshot {
         StatsSnapshot {
             core: sub_core(&end.core, &self.core),
             l1d: sub_cache(&end.l1d, &self.l1d),
@@ -446,16 +446,15 @@ impl<'a> Cell<'a> {
 /// value-integrity violations, cycle-budget exhaustion, or (under a lease
 /// manager) a quarantined cell.
 pub fn execute(store: &ArtifactStore, cell: &Cell<'_>) -> Result<RunResult, SimError> {
-    let key = cell.key();
-    if let Some(hit) = store.memo_probe(&key) {
-        return Ok((*hit).clone());
-    }
     let (benchmark, mechanism) = (cell.benchmark, cell.mechanism);
-    let label = match &cell.custom {
-        Some(custom) => format!("{benchmark} x {mechanism} [{}]", custom.variant),
-        None => format!("{benchmark} x {mechanism}"),
+    let describe = || {
+        let label = match &cell.custom {
+            Some(custom) => format!("{benchmark} x {mechanism} [{}]", custom.variant),
+            None => format!("{benchmark} x {mechanism}"),
+        };
+        (label, repro_hint(&cell.opts))
     };
-    let result = store.memo_run(&key, &label, benchmark, &repro_hint(&cell.opts), || {
+    let result = store.memo_run(&cell.key(), benchmark, describe, || {
         crate::fault::trigger("cell", &format!("{benchmark}+{mechanism}"));
         if cell.opts.sampling.is_sampled() {
             run_sampled(store, cell)
@@ -517,28 +516,29 @@ fn repro_hint(opts: &SimOptions) -> String {
 }
 
 /// A cell's system after the warm phase, ready for detailed simulation.
-struct Warmed {
+pub(crate) struct Warmed {
     /// The benchmark's registry name.
-    benchmark: &'static str,
+    pub(crate) benchmark: &'static str,
     /// The mechanism's hardware inventory.
-    hardware: HardwareBudget,
-    mem: MemorySystem,
+    pub(crate) hardware: HardwareBudget,
+    pub(crate) mem: MemorySystem,
     /// The instruction stream, positioned at the window start.
-    stream: InstStream,
+    pub(crate) stream: InstStream,
 }
 
-/// The prologue both detailed drivers share: resolves the benchmark,
-/// builds the memory system around a fresh mechanism and warms it —
-/// functional memory initialized, caches and mechanism tables warmed
-/// over `[warm_start, skip)` (`warm_start` is clamped to the window
-/// start), the instruction stream positioned at `skip`.
+/// The prologue both detailed drivers and the analytic tier share:
+/// resolves the benchmark, builds the memory system around a fresh
+/// mechanism and warms it — functional memory initialized, caches and
+/// mechanism tables warmed over `[warm_start, skip)` (`warm_start` is
+/// clamped to the window start), the instruction stream positioned at
+/// `skip`.
 ///
 /// The trace comes from the store's shared [`TraceBuffer`] (grown to
 /// `trace_len`). The warm phase either restores the shared checkpoint and
 /// replays the recorded mechanism events (mechanisms that opt in via
 /// [`warm_events_only`](microlib_model::Mechanism::warm_events_only)) or
 /// runs the exact full warm path over the shared trace (everything else).
-fn warmed_system(
+pub(crate) fn warmed_system(
     store: &ArtifactStore,
     cell: &Cell<'_>,
     warm_start: u64,

@@ -8,7 +8,7 @@ use crate::probe::{perturb_from_env, probe, DEFAULT_MECHANISMS};
 use crate::space::{sample_cell, ConfigDelta};
 use microlib::{ArtifactStore, SimOptions};
 use microlib_mech::MechanismKind;
-use microlib_model::{Decoder, Encoder};
+use microlib_model::{CodecError, Decoder, Encoder};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -123,8 +123,7 @@ fn memo_key(cfg: &MineConfig, benchmark: &str, delta: &ConfigDelta, perturb: f64
     )
 }
 
-fn encode_outcome(outcome: &CellOutcome) -> Vec<u8> {
-    let mut enc = Encoder::new();
+fn encode_outcome(outcome: &CellOutcome, enc: &mut Encoder) {
     match outcome {
         CellOutcome::Consistent => enc.put_u8(0),
         CellOutcome::Cliff(record) => {
@@ -136,16 +135,16 @@ fn encode_outcome(outcome: &CellOutcome) -> Vec<u8> {
             enc.put_str(err);
         }
     }
-    enc.into_bytes()
 }
 
-fn decode_outcome(bytes: &[u8]) -> Option<CellOutcome> {
-    let mut dec = Decoder::new(bytes);
-    match dec.take_u8().ok()? {
-        0 => Some(CellOutcome::Consistent),
-        1 => CliffRecord::parse(dec.take_str().ok()?).map(|r| CellOutcome::Cliff(Box::new(r))),
-        2 => Some(CellOutcome::Failed(dec.take_str().ok()?.to_owned())),
-        _ => None,
+fn decode_outcome(dec: &mut Decoder<'_>) -> Result<CellOutcome, CodecError> {
+    match dec.take_u8()? {
+        0 => Ok(CellOutcome::Consistent),
+        1 => CliffRecord::parse(dec.take_str()?)
+            .map(|r| CellOutcome::Cliff(Box::new(r)))
+            .ok_or(CodecError::Invalid("cliff record")),
+        2 => Ok(CellOutcome::Failed(dec.take_str()?.to_owned())),
+        _ => Err(CodecError::Invalid("outcome tag")),
     }
 }
 
@@ -214,10 +213,7 @@ fn mine_cell(store: &ArtifactStore, cfg: &MineConfig, index: usize) -> MinedCell
     let perturb = perturb_from_env();
     let key = memo_key(cfg, benchmark, &delta, perturb);
     if let Some(cache) = store.disk_cache() {
-        if let Some(outcome) = cache
-            .load(MINE_CACHE_CLASS, &key)
-            .and_then(|bytes| decode_outcome(&bytes))
-        {
+        if let Some(outcome) = cache.load_with(MINE_CACHE_CLASS, &key, decode_outcome) {
             return MinedCell {
                 index,
                 benchmark,
@@ -229,7 +225,9 @@ fn mine_cell(store: &ArtifactStore, cfg: &MineConfig, index: usize) -> MinedCell
     }
     let outcome = compute_cell(store, cfg, benchmark, &delta);
     if let Some(cache) = store.disk_cache() {
-        cache.store(MINE_CACHE_CLASS, &key, &encode_outcome(&outcome));
+        cache.store_with(MINE_CACHE_CLASS, &key, usize::MAX, |enc| {
+            encode_outcome(&outcome, enc)
+        });
     }
     MinedCell {
         index,
@@ -358,7 +356,10 @@ mod tests {
         let consistent = CellOutcome::Consistent;
         let failed = CellOutcome::Failed("timeout".into());
         for o in [&consistent, &failed] {
-            assert_eq!(decode_outcome(&encode_outcome(o)).as_ref(), Some(o));
+            let mut enc = Encoder::new();
+            encode_outcome(o, &mut enc);
+            let decoded = decode_outcome(&mut Decoder::new(enc.as_bytes()));
+            assert_eq!(decoded.ok().as_ref(), Some(o));
         }
     }
 

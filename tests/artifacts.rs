@@ -231,74 +231,3 @@ fn fresh_store_takes_the_full_warm_path() {
     assert_eq!(stats.warm_hits + stats.warm_misses, 0, "no checkpoint");
     assert_eq!((stats.memo_hits, stats.memo_misses), (0, 1));
 }
-
-/// Diagnostic (run with `--ignored --nocapture`): where warm time goes.
-#[test]
-#[ignore = "timing probe, not an assertion"]
-fn warm_path_cost_breakdown() {
-    use microlib_trace::{benchmarks, TraceBuffer, Workload};
-    use std::time::Instant;
-    let skip = 150_000u64;
-    let config = Arc::new(SystemConfig::baseline());
-    for bench in ["swim", "mcf", "gzip"] {
-        let w = Arc::new(Workload::new(benchmarks::by_name(bench).unwrap(), 0xC0FFEE));
-        let t = Instant::now();
-        let buf = Arc::new(TraceBuffer::capture(&w, skip + 100_000));
-        let t_capture_trace = t.elapsed();
-
-        // Cold warm (replay cursor, full warm path, Base mech).
-        let t = Instant::now();
-        let mut mem = microlib::mem::MemorySystem::new(
-            Arc::clone(&config),
-            vec![MechanismKind::Base.build()],
-        )
-        .unwrap();
-        w.initialize(mem.functional_mut());
-        let mut s = TraceBuffer::replay(&buf);
-        for _ in 0..skip {
-            let inst = s.next().unwrap();
-            let mr = inst.mem.map(|m| {
-                (
-                    m.addr,
-                    if m.is_store {
-                        microlib::model::AccessKind::Store
-                    } else {
-                        microlib::model::AccessKind::Load
-                    },
-                    m.value,
-                )
-            });
-            mem.warm_inst(inst.pc, mr);
-        }
-        let t_cold_warm = t.elapsed();
-
-        // Capture warm state (recorder run + log).
-        let store = ArtifactStore::new();
-        store.trace(bench, 0xC0FFEE, skip + 100_000).unwrap();
-        assert!(store
-            .warm_state(bench, 0xC0FFEE, skip, 0, &config)
-            .unwrap()
-            .is_none());
-        let t = Instant::now();
-        let ws = store
-            .warm_state(bench, 0xC0FFEE, skip, 0, &config)
-            .unwrap()
-            .expect("second request captures");
-        let t_capture_warm = t.elapsed();
-        eprintln!("{bench}: log events = {}", ws.log.len());
-
-        // Restore + replay.
-        let t = Instant::now();
-        let mut mem2 =
-            microlib::mem::MemorySystem::new(Arc::clone(&config), vec![MechanismKind::Ghb.build()])
-                .unwrap();
-        mem2.restore_warm(&ws.checkpoint);
-        mem2.replay_warm_events(&ws.log);
-        let t_restore = t.elapsed();
-
-        eprintln!(
-            "{bench}: trace-capture {t_capture_trace:?}, cold-warm {t_cold_warm:?}, \
-             warm-capture {t_capture_warm:?}, restore+replay {t_restore:?}"
-        );
-    }
-}

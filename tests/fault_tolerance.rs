@@ -8,7 +8,8 @@
 
 use microlib::model::codec::fnv1a;
 use microlib::{
-    execute, fault, ArtifactStore, Cell, Claim, LeaseManager, RunResult, SimError, SimOptions,
+    execute, fault, run_one, ArtifactStore, Cell, Claim, LeaseManager, RunResult, SimError,
+    SimOptions,
 };
 use microlib_mech::MechanismKind;
 use microlib_model::SystemConfig;
@@ -328,6 +329,45 @@ fn panic_fault_abandons_the_lease_then_recovery_completes_the_cell() {
     assert_same_result(&recovered, &served);
     assert_eq!(warm.stats().memo_misses, 0);
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// In-process single-flight survives a crashing leader: two threads race
+/// into one cell on a memory-only store without leases, the injected
+/// panic hits whichever computes first, and the other still returns the
+/// cell — identical to a fresh `run_one` — and memoizes it.
+#[test]
+fn in_process_single_flight_survives_a_panicking_leader() {
+    let _guard = fault_guard();
+    let config = Arc::new(SystemConfig::baseline_constant_memory());
+    let o = opts(TraceWindow::new(2_000, 1_000));
+    let cell = Cell::new(Arc::clone(&config), MechanismKind::Base, "swim", o);
+    let store = ArtifactStore::new();
+
+    fault::arm("cell@swim+Base:1:panic").unwrap();
+    let outcomes: Vec<_> = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..2).map(|_| s.spawn(|| execute(&store, &cell))).collect();
+        threads.into_iter().map(|t| t.join()).collect()
+    });
+    fault::disarm();
+    let (panicked, returned): (Vec<_>, Vec<_>) = outcomes.into_iter().partition(Result::is_err);
+    assert_eq!(panicked.len(), 1, "exactly one thread hits the panic");
+    let survivor = returned
+        .into_iter()
+        .next()
+        .and_then(Result::ok)
+        .expect("the other thread returns")
+        .expect("the cell computes");
+
+    let reference = run_one(&config, MechanismKind::Base, "swim", &o).unwrap();
+    assert_same_result(&survivor, &reference);
+    let hits = store.stats().memo_hits;
+    let again = execute(&store, &cell).unwrap();
+    assert_same_result(&again, &reference);
+    assert_eq!(
+        store.stats().memo_hits,
+        hits + 1,
+        "the survivor memoized it"
+    );
 }
 
 #[test]
