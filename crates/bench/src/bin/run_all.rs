@@ -16,7 +16,7 @@
 //! ```text
 //! run_all [--sampled] [--only <name>[,<name>...]]
 //!         [--cache-dir <dir>] [--no-cache] [--verify-golden <dir>]
-//!         [--shard i/N] [--workers N] [--out-dir <dir>]
+//!         [--out-dir <dir>]
 //!         [--mine] [--mine-budget <n>] [--mine-bound <f>]
 //!         [--mine-export <dir>] [--mine-cell <benchmark>:<delta>]
 //! ```
@@ -39,35 +39,11 @@
 //! finished cells, sampling plans and warm-state checkpoints are journaled
 //! to disk as they complete, so a killed run resumes where it stopped, a
 //! re-run is served from disk (`recomputed 0 cells` on stderr), and a
-//! config/window tweak recomputes only the cells it touches. `--no-cache`
-//! (or `MICROLIB_CACHE_DIR=off`) runs memory-only. Entries are checksummed
-//! and version-stamped; corrupt or stale files are recomputed, never
-//! trusted.
-//!
-//! # Sharded, fault-tolerant execution
-//!
-//! `--workers N` turns this process into a **coordinator**: it spawns `N`
-//! worker processes of itself (worker `i` gets `--shard i/N`), all sharing
-//! the cache directory, where they coordinate cell-by-cell through atomic
-//! lease files (see `ARCHITECTURE.md` and the `microlib::LeaseManager`
-//! docs). The coordinator monitors exit statuses and lease heartbeats:
-//! a crashed worker (signal, abort, panic at top level) is respawned with
-//! exponential backoff up to `MICROLIB_WORKER_RESPAWNS` times, a worker
-//! whose lease heartbeat freezes is killed and respawned, and the
-//! orphaned cells of either are simply recomputed by whichever worker
-//! claims them next — nothing already journaled is redone. A cell that
-//! crashes `MICROLIB_CELL_RETRIES` consecutive claimers is *quarantined*:
-//! the rest of the battery completes, the final report lists each
-//! quarantined cell with a minimized repro command, and the exit code is
-//! nonzero. After the workers finish, the coordinator byte-compares their
-//! outputs against each other (they must agree exactly — the merged run
-//! is only published if they do) and writes the merged battery to the
-//! final output directory, where `--verify-golden` applies as usual.
-//!
-//! `--shard i/N` alone runs a single worker-style process claiming (by
-//! preference) the `i`-th shard of the cell grid — the mode the
-//! coordinator uses internally, also usable by hand across machines that
-//! share a cache directory.
+//! config/window tweak recomputes only the cells it touches. A run killed
+//! mid-battery (`SIGKILL`, an abort) reruns only the cells whose journal
+//! files are missing. `--no-cache` (or `MICROLIB_CACHE_DIR=off`) runs
+//! memory-only. Entries are checksummed and version-stamped; corrupt or
+//! stale files are recomputed, never trusted.
 //!
 //! # Inconsistency mining
 //!
@@ -83,12 +59,9 @@
 //! and `--mine-cell benchmark:delta` re-probes a single cell from a
 //! cliff record's repro line. Mining honours `MICROLIB_SKIP` /
 //! `MICROLIB_SIM` / `MICROLIB_SEED` (defaulting to a small
-//! 2000-skip/4000-instruction window, not the battery's full window),
-//! memoizes per-cell outcomes in the `mine` class of the disk cache
-//! (a warm re-run recomputes 0 mine cells), and composes with
-//! `--workers`/`--shard`: workers probe their own shard's cells first,
-//! the detailed runs underneath coordinate through the lease layer, and
-//! the coordinator byte-compares every worker's full report.
+//! 2000-skip/4000-instruction window, not the battery's full window) and
+//! memoizes per-cell outcomes in the `mine` class of the disk cache (a
+//! warm re-run recomputes 0 mine cells).
 //!
 //! # The golden gate
 //!
@@ -102,17 +75,17 @@
 //! `0` only if every selected experiment ran cleanly (and, with
 //! `--verify-golden`, matched the snapshot). Any failed experiment — or
 //! any failed campaign cell inside one — is summarized per cell on stderr
-//! and the process exits `1`. Usage errors exit `2`.
+//! and the process exits `1`. Usage errors — including an unparseable or
+//! out-of-bounds `MICROLIB_*` knob, rejected before any work — exit `2`.
 
-use microlib::{LeaseManager, SimOptions};
-use microlib_bench::{experiments, std_threads, Context};
+use microlib::SimOptions;
+use microlib_bench::{env_threads, env_u64, env_window, experiments, Context, DEFAULT_SEED};
 use microlib_miner::{mine, perturb_from_env, reprobe_cell, CellOutcome, MineConfig};
 use microlib_trace::TraceWindow;
 use std::fs;
 use std::panic::{self, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::process::{exit, Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::process::exit;
+use std::time::Instant;
 
 /// Resolves one `--only` entry against the experiment list (exact name
 /// wins, else an unambiguous prefix).
@@ -151,12 +124,7 @@ struct Cli {
     cache_dir: Option<String>,
     /// Golden snapshot directory to verify against, if requested.
     verify_golden: Option<String>,
-    /// `--shard i/N`: run as (or like) one worker of an N-way battery.
-    shard: Option<String>,
-    /// `--workers N`: run as the coordinator of N worker processes.
-    workers: Option<u32>,
-    /// Output directory override (the coordinator points each worker at
-    /// its own).
+    /// Output directory override.
     out_dir: Option<String>,
     /// `--mine`: run the inconsistency miner instead of the battery.
     mine: bool,
@@ -170,13 +138,6 @@ struct Cli {
     mine_cell: Option<String>,
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// Parses the command line (see the module docs for the grammar).
 fn selection() -> Result<Cli, String> {
     let mut args = std::env::args().skip(1);
@@ -186,8 +147,6 @@ fn selection() -> Result<Cli, String> {
     let mut no_cache = false;
     let mut cache_dir: Option<String> = None;
     let mut verify_golden: Option<String> = None;
-    let mut shard: Option<String> = None;
-    let mut workers: Option<u32> = None;
     let mut out_dir: Option<String> = None;
     let mut mine = false;
     let mut mine_budget: Option<usize> = None;
@@ -203,21 +162,6 @@ fn selection() -> Result<Cli, String> {
             }
             "--verify-golden" => {
                 verify_golden = Some(args.next().ok_or("--verify-golden needs a directory")?);
-            }
-            "--shard" => {
-                let spec = args.next().ok_or("--shard needs i/N")?;
-                microlib::ShardSpec::parse(&spec)?;
-                shard = Some(spec);
-            }
-            "--workers" => {
-                let n = args.next().ok_or("--workers needs a count")?;
-                let n: u32 = n
-                    .parse()
-                    .map_err(|_| format!("--workers count {n:?} is not a number"))?;
-                if n == 0 {
-                    return Err("--workers needs at least 1".to_owned());
-                }
-                workers = Some(n);
             }
             "--out-dir" => {
                 out_dir = Some(args.next().ok_or("--out-dir needs a directory")?);
@@ -259,7 +203,7 @@ fn selection() -> Result<Cli, String> {
                 return Err(format!(
                     "unknown argument {other:?} (expected --sampled, --only <list>, \
                      --cache-dir <dir>, --no-cache, --verify-golden <dir>, \
-                     --shard i/N, --workers <n>, --out-dir <dir>, --mine, \
+                     --out-dir <dir>, --mine, \
                      --mine-budget <n>, --mine-bound <f>, --mine-export <dir> \
                      or --mine-cell <benchmark>:<delta>)"
                 ))
@@ -275,11 +219,6 @@ fn selection() -> Result<Cli, String> {
             .filter(|n| !(sampled && *n == "ablation_sampling"))
             .collect();
     }
-    if shard.is_some() && workers.is_some() {
-        return Err("--shard and --workers are mutually exclusive \
-                    (the coordinator assigns shards itself)"
-            .to_owned());
-    }
     if !mine
         && mine_cell.is_none()
         && (mine_budget.is_some() || mine_bound.is_some() || mine_export.is_some())
@@ -292,14 +231,6 @@ fn selection() -> Result<Cli, String> {
                     (the cliffs-golden gate lives in the test suite)"
                 .to_owned(),
         );
-    }
-    if mine_export.is_some() && workers.is_some() {
-        return Err("--mine-export is a solo-run flag (the coordinator merges \
-                    workers' reports; export from a single run)"
-            .to_owned());
-    }
-    if mine_cell.is_some() && (workers.is_some() || shard.is_some()) {
-        return Err("--mine-cell re-probes one cell and does not shard".to_owned());
     }
     // Cache resolution: --no-cache wins; then --cache-dir; then the
     // environment (including its own off switch); then the default dir.
@@ -314,18 +245,11 @@ fn selection() -> Result<Cli, String> {
         // every other binary) decide whether the value means "off".
         microlib::ArtifactStore::cache_dir_from_env().map(|p| p.to_string_lossy().into_owned())
     };
-    if cache_dir.is_none() && (shard.is_some() || workers.is_some()) {
-        return Err("--shard/--workers coordinate through lease files in the \
-                    cache directory and cannot run with the cache off"
-            .to_owned());
-    }
     Ok(Cli {
         selected,
         sampled,
         cache_dir,
         verify_golden,
-        shard,
-        workers,
         out_dir,
         mine: mine || mine_cell.is_some(),
         mine_budget,
@@ -364,419 +288,6 @@ fn verify_golden(out_dir: &str, golden_dir: &str, selected: &[&str]) -> usize {
     drifted
 }
 
-/// How one worker process's life ended, as the coordinator sees it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum WorkerOutcome {
-    /// Still running (or awaiting a respawn).
-    Running,
-    /// Exit 0: full battery, no failures.
-    Clean,
-    /// Exit 1: battery completed but some experiment/cell failed
-    /// deterministically (a respawn would fail identically).
-    Failed,
-    /// Crashed (signal/abort/panic) more than the respawn budget allows.
-    Dead,
-}
-
-/// One worker slot the coordinator manages.
-struct Worker {
-    id: u32,
-    child: Option<Child>,
-    outcome: WorkerOutcome,
-    respawns: u32,
-    /// Deadline of a pending exponential-backoff respawn.
-    respawn_at: Option<Instant>,
-    log_path: PathBuf,
-    out_dir: PathBuf,
-}
-
-/// Spawns (or respawns) worker `id`, logging to its append-mode log file.
-fn spawn_worker(
-    exe: &Path,
-    cli: &Cli,
-    cache_dir: &str,
-    worker: &Worker,
-    workers: u32,
-    threads: u32,
-) -> std::io::Result<Child> {
-    let log = fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&worker.log_path)?;
-    let log_err = log.try_clone()?;
-    let mut cmd = Command::new(exe);
-    cmd.arg("--shard")
-        .arg(format!("{}/{workers}", worker.id))
-        .arg("--cache-dir")
-        .arg(cache_dir)
-        .arg("--out-dir")
-        .arg(&worker.out_dir);
-    if cli.mine {
-        cmd.arg("--mine");
-        if let Some(n) = cli.mine_budget {
-            cmd.arg("--mine-budget").arg(n.to_string());
-        }
-        if let Some(b) = cli.mine_bound {
-            cmd.arg("--mine-bound").arg(b.to_string());
-        }
-    } else {
-        cmd.arg("--only").arg(cli.selected.join(","));
-        if cli.sampled {
-            cmd.arg("--sampled");
-        }
-    }
-    cmd.env("MICROLIB_WORKER_ID", worker.id.to_string())
-        .env("MICROLIB_THREADS", threads.to_string())
-        .stdout(Stdio::from(log))
-        .stderr(Stdio::from(log_err));
-    cmd.spawn()
-}
-
-/// Prints the last lines of a failed worker's log.
-fn print_log_tail(worker: &Worker) {
-    let Ok(text) = fs::read_to_string(&worker.log_path) else {
-        return;
-    };
-    let lines: Vec<&str> = text.lines().collect();
-    let tail = lines.len().saturating_sub(25);
-    eprintln!(
-        "--- worker {} log tail ({}) ---",
-        worker.id,
-        worker.log_path.display()
-    );
-    for line in &lines[tail..] {
-        eprintln!("  {line}");
-    }
-}
-
-/// The `--workers N` coordinator (see the module docs): spawns, monitors,
-/// respawns and merges. Returns the process exit code.
-fn coordinate(cli: &Cli, worker_count: u32) -> i32 {
-    let cache_dir = cli
-        .cache_dir
-        .clone()
-        .expect("selection() rejects --workers without a cache dir");
-    let cache_root = PathBuf::from(&cache_dir);
-    let out_dir = cli.out_dir.clone().unwrap_or_else(|| default_out_dir(cli));
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe,
-        Err(e) => {
-            eprintln!("cannot locate own executable to spawn workers: {e}");
-            return 2;
-        }
-    };
-    let worker_root = cache_root.join("workers");
-    if fs::create_dir_all(&worker_root).is_err() {
-        eprintln!("cannot create {}", worker_root.display());
-        return 2;
-    }
-    let timeout = Duration::from_millis(env_u64("MICROLIB_LEASE_TIMEOUT_MS", 30_000));
-    let backoff_ms = env_u64("MICROLIB_RETRY_BACKOFF_MS", 100);
-    let max_respawns = env_u64("MICROLIB_WORKER_RESPAWNS", 3) as u32;
-    let total_threads = std::env::var("MICROLIB_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get() as u32)
-                .unwrap_or(1)
-        });
-    let worker_threads = (total_threads / worker_count).max(1);
-
-    println!(
-        ">>> coordinator: {worker_count} workers x {worker_threads} thread(s), \
-         cache {cache_dir}, lease timeout {timeout:?}"
-    );
-    let battery = Instant::now();
-    let mut workers: Vec<Worker> = (0..worker_count)
-        .map(|id| Worker {
-            id,
-            child: None,
-            outcome: WorkerOutcome::Running,
-            respawns: 0,
-            respawn_at: None,
-            log_path: worker_root.join(format!("w{id}.log")),
-            out_dir: worker_root.join(format!("w{id}")),
-        })
-        .collect();
-    for w in &mut workers {
-        // A fresh run must not merge stale outputs or read old logs.
-        let _ = fs::remove_dir_all(&w.out_dir);
-        let _ = fs::remove_file(&w.log_path);
-        match spawn_worker(&exe, cli, &cache_dir, w, worker_count, worker_threads) {
-            Ok(child) => w.child = Some(child),
-            Err(e) => {
-                eprintln!("cannot spawn worker {}: {e}", w.id);
-                return 2;
-            }
-        }
-    }
-
-    let mut respawn_count = 0u32;
-    let mut stale_kills = 0u32;
-    let mut fatal = false;
-    // Kill frozen workers well before other workers steal their leases
-    // (a live worker heartbeats at ~timeout/4, so timeout/2 of silence
-    // already means frozen).
-    let kill_after = timeout / 2;
-    let mut next_stale_scan = Instant::now() + kill_after;
-    'monitor: loop {
-        let mut all_settled = true;
-        for w in &mut workers {
-            if w.outcome != WorkerOutcome::Running {
-                continue;
-            }
-            all_settled = false;
-            if let Some(child) = &mut w.child {
-                match child.try_wait() {
-                    Ok(None) => {}
-                    Ok(Some(status)) => {
-                        w.child = None;
-                        match status.code() {
-                            Some(0) => {
-                                w.outcome = WorkerOutcome::Clean;
-                                println!("worker {} finished clean", w.id);
-                            }
-                            Some(1) => {
-                                // Deterministic failure: a respawn would
-                                // fail the same way. Keep its outputs for
-                                // the merge (quarantine runs end here).
-                                w.outcome = WorkerOutcome::Failed;
-                                eprintln!("worker {} failed (deterministic, not respawning)", w.id);
-                            }
-                            Some(2) => {
-                                eprintln!("worker {} rejected its command line — fatal", w.id);
-                                print_log_tail(w);
-                                fatal = true;
-                                break 'monitor;
-                            }
-                            code => {
-                                // Signal (None) or abort/panic exit: a
-                                // crash. Its leases expire and its cells
-                                // get reclaimed; respawn it (bounded) to
-                                // keep its shard's throughput.
-                                eprintln!(
-                                    "worker {} crashed ({}), {} respawn(s) used",
-                                    w.id,
-                                    match code {
-                                        Some(c) => format!("exit code {c}"),
-                                        None => "killed by signal".to_owned(),
-                                    },
-                                    w.respawns,
-                                );
-                                if w.respawns < max_respawns {
-                                    let delay = Duration::from_millis(
-                                        backoff_ms.saturating_mul(1 << w.respawns.min(16)),
-                                    );
-                                    w.respawn_at = Some(Instant::now() + delay);
-                                } else {
-                                    w.outcome = WorkerOutcome::Dead;
-                                    eprintln!(
-                                        "worker {} exhausted its {} respawns — giving up on it \
-                                         (its cells fall to the other workers)",
-                                        w.id, max_respawns
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("worker {}: wait failed: {e}", w.id);
-                        w.child = None;
-                        w.outcome = WorkerOutcome::Dead;
-                    }
-                }
-            } else if w.respawn_at.is_some_and(|at| Instant::now() >= at) {
-                w.respawn_at = None;
-                w.respawns += 1;
-                respawn_count += 1;
-                match spawn_worker(&exe, cli, &cache_dir, w, worker_count, worker_threads) {
-                    Ok(child) => {
-                        println!("worker {} respawned (attempt {})", w.id, w.respawns + 1);
-                        w.child = Some(child);
-                    }
-                    Err(e) => {
-                        eprintln!("worker {} respawn failed: {e}", w.id);
-                        w.outcome = WorkerOutcome::Dead;
-                    }
-                }
-            }
-        }
-        if all_settled {
-            break;
-        }
-        if Instant::now() >= next_stale_scan {
-            next_stale_scan = Instant::now() + kill_after.max(Duration::from_millis(50));
-            for (pid, age) in LeaseManager::stale_owners(&cache_root, kill_after) {
-                let frozen = workers
-                    .iter_mut()
-                    .find(|w| w.child.as_ref().is_some_and(|c| c.id() == pid));
-                if let Some(w) = frozen {
-                    eprintln!(
-                        "worker {} holds a lease silent for {age:?} — presumed frozen, killing it",
-                        w.id
-                    );
-                    if let Some(child) = &mut w.child {
-                        if child.kill().is_ok() {
-                            stale_kills += 1;
-                        }
-                    }
-                }
-            }
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    if fatal {
-        for w in &mut workers {
-            if let Some(c) = &mut w.child {
-                let _ = c.kill();
-            }
-        }
-        return 2;
-    }
-
-    if respawn_count + stale_kills > 0 {
-        // The recovery marker CI greps for: the journal + lease layer
-        // guarantee that respawned/stolen work re-ran only the cells the
-        // dead worker had claimed but not journaled.
-        println!(
-            "crash recovery: recomputed only orphaned cells \
-             ({respawn_count} worker respawn(s), {stale_kills} stale-lease kill(s))"
-        );
-    }
-
-    // Merge: every completed worker ran the full battery over the shared
-    // memo, so their outputs must agree byte-for-byte — this cross-check
-    // is the sharded-mode determinism gate. Prefer clean workers; if none
-    // survived clean (e.g. a quarantine run), merge the deterministic
-    // failures so the report still shows every healthy cell.
-    let clean: Vec<&Worker> = workers
-        .iter()
-        .filter(|w| w.outcome == WorkerOutcome::Clean)
-        .collect();
-    let failed: Vec<&Worker> = workers
-        .iter()
-        .filter(|w| w.outcome == WorkerOutcome::Failed)
-        .collect();
-    let any_failed = !failed.is_empty();
-    let any_dead = workers.iter().any(|w| w.outcome == WorkerOutcome::Dead);
-    for w in workers.iter().filter(|w| w.outcome != WorkerOutcome::Clean) {
-        print_log_tail(w);
-    }
-    let sources = if !clean.is_empty() { &clean } else { &failed };
-    if sources.is_empty() {
-        eprintln!("BATTERY FAILED — no worker completed the battery");
-        return 1;
-    }
-    let mut merge_mismatch = 0usize;
-    if fs::create_dir_all(&out_dir).is_err() {
-        eprintln!("cannot create {out_dir}/");
-        return 2;
-    }
-    // In mine mode every worker produces the single deterministic mining
-    // report; the battery produces one file per selected experiment.
-    let merge_names: Vec<&str> = if cli.mine {
-        vec!["mine"]
-    } else {
-        cli.selected.clone()
-    };
-    for name in &merge_names {
-        let reference = fs::read(sources[0].out_dir.join(format!("{name}.txt")));
-        let Ok(reference) = reference else {
-            eprintln!(
-                "MERGE MISSING {name}: worker {} produced no output",
-                sources[0].id
-            );
-            merge_mismatch += 1;
-            continue;
-        };
-        for other in &sources[1..] {
-            match fs::read(other.out_dir.join(format!("{name}.txt"))) {
-                Ok(bytes) if bytes == reference => {}
-                Ok(_) => {
-                    eprintln!(
-                        "MERGE MISMATCH {name}: workers {} and {} disagree byte-for-byte",
-                        sources[0].id, other.id
-                    );
-                    merge_mismatch += 1;
-                }
-                Err(_) => {
-                    eprintln!(
-                        "MERGE MISSING {name}: worker {} produced no output",
-                        other.id
-                    );
-                    merge_mismatch += 1;
-                }
-            }
-        }
-        if fs::write(format!("{out_dir}/{name}.txt"), &reference).is_err() {
-            eprintln!("cannot write {out_dir}/{name}.txt");
-            merge_mismatch += 1;
-        }
-    }
-    if merge_mismatch == 0 {
-        println!(
-            "merged {} result file(s) from {} worker(s) into {out_dir}/ (all byte-identical)",
-            merge_names.len(),
-            sources.len()
-        );
-    }
-
-    // Quarantine report: poison cells that crashed every claimer. The
-    // battery around them completed — that is the point — but the run
-    // must not look green.
-    let quarantined = LeaseManager::quarantine_reports(&cache_root);
-    if !quarantined.is_empty() {
-        eprintln!("\nQUARANTINED CELLS ({}):", quarantined.len());
-        for q in &quarantined {
-            eprintln!("  {} — {} crashed attempt(s)", q.cell, q.attempts);
-            eprintln!("    repro: {}", q.repro);
-        }
-        eprintln!(
-            "(each cell above crashed every worker that claimed it; the rest of the \
-             battery completed. Remove {}/quarantine/ to retry.)",
-            cache_dir
-        );
-    }
-
-    let mut code = 0;
-    if merge_mismatch > 0 {
-        eprintln!("BATTERY FAILED — {merge_mismatch} merge mismatch(es)");
-        code = 1;
-    }
-    if !quarantined.is_empty() || any_failed {
-        code = 1;
-    }
-    if code == 0 {
-        if let Some(golden_dir) = &cli.verify_golden {
-            let drifted = verify_golden(&out_dir, golden_dir, &cli.selected);
-            if drifted > 0 {
-                eprintln!("golden verification FAILED: {drifted} file(s) drifted");
-                code = 1;
-            } else {
-                println!("golden verification passed ({} files)", cli.selected.len());
-            }
-        }
-    }
-    match code {
-        0 if any_dead => println!(
-            "\nbattery done in {:.1?} (degraded: some workers died, all cells completed); \
-             results under {out_dir}/",
-            battery.elapsed()
-        ),
-        0 => println!(
-            "\nbattery done in {:.1?} across {worker_count} workers (0 failed); \
-             results under {out_dir}/",
-            battery.elapsed()
-        ),
-        _ => println!(
-            "\nbattery FAILED in {:.1?}; partial results under {out_dir}/",
-            battery.elapsed()
-        ),
-    }
-    code
-}
-
 /// Where results land when `--out-dir` is not given.
 fn default_out_dir(cli: &Cli) -> String {
     if cli.mine {
@@ -788,37 +299,34 @@ fn default_out_dir(cli: &Cli) -> String {
     }
 }
 
-/// `MICROLIB_SEED`, accepting both decimal and the `0x`-prefixed hex the
-/// cliff repro lines print.
-fn env_seed() -> u64 {
-    let Ok(raw) = std::env::var("MICROLIB_SEED") else {
-        return 0xC0FFEE;
-    };
-    let raw = raw.trim();
-    match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => raw.parse().ok(),
-    }
-    .unwrap_or(0xC0FFEE)
+/// The window, seed and thread knobs of a mining run (its window defaults
+/// to 2 000 + 4 000 instructions).
+fn mine_knobs() -> Result<(TraceWindow, u64, usize), String> {
+    let window = env_window(2_000, 4_000)?;
+    let seed = env_u64("MICROLIB_SEED", DEFAULT_SEED)?;
+    Ok((window, seed, env_threads()?))
 }
 
 /// The `--mine` mode: runs the differential inconsistency miner (or a
 /// single `--mine-cell` re-probe) instead of the experiment battery and
 /// returns the process exit code. The report written to
 /// `<out-dir>/mine.txt` is fully deterministic — cache and timing
-/// counters go to stderr — so a warm re-run (and every parallel worker)
-/// produces byte-identical output.
+/// counters go to stderr — so a warm re-run produces byte-identical
+/// output.
 fn run_mine(cli: &Cli) -> i32 {
     // Mining probes dozens of cells x mechanisms x two tiers, so it
     // defaults to a much smaller window than the battery; the usual
     // environment overrides still apply (and the cliff repro lines
     // set them explicitly).
-    let window = TraceWindow::new(
-        env_u64("MICROLIB_SKIP", 2_000),
-        env_u64("MICROLIB_SIM", 4_000),
-    );
+    let (window, seed, threads) = match mine_knobs() {
+        Ok(knobs) => knobs,
+        Err(e) => {
+            eprintln!("{e}");
+            return 2;
+        }
+    };
     let base_opts = SimOptions {
-        seed: env_seed(),
+        seed,
         window,
         ..SimOptions::default()
     };
@@ -829,16 +337,12 @@ fn run_mine(cli: &Cli) -> i32 {
     if let Some(b) = cli.mine_bound {
         cfg.bound = b;
     }
-    cfg.threads = std_threads();
-    if let Some(spec) = &cli.shard {
-        let s = microlib::ShardSpec::parse(spec).expect("selection() validated --shard");
-        cfg.shard = Some((s.index, s.count));
-    }
+    cfg.threads = threads;
     let cx = Context::new();
     let store = cx.store();
-    // Drop-time sweep: even a panicking mine run releases its leases and
-    // syncs the journal (the explicit finish() calls below still cover
-    // the exit() paths, which skip Drop).
+    // Drop-time flush: even a panicking mine run syncs the journal (the
+    // explicit finish() calls below still cover the exit() paths, which
+    // skip Drop).
     let _finish = store.finish_guard();
     if let Some(spec) = &cli.mine_cell {
         return match reprobe_cell(store, spec, &cfg) {
@@ -975,37 +479,22 @@ fn main() {
         Some(dir) => std::env::set_var("MICROLIB_CACHE_DIR", dir),
         None => std::env::set_var("MICROLIB_CACHE_DIR", "off"),
     }
-    if let Some(n) = cli.workers {
-        exit(coordinate(&cli, n));
-    }
-    if let Some(spec) = &cli.shard {
-        std::env::set_var("MICROLIB_SHARD", spec);
-    }
-    // The worker-start fault point (after the cache/shard environment is
-    // resolved, before any real work).
-    let worker_id = std::env::var("MICROLIB_WORKER_ID").unwrap_or_default();
-    microlib::fault::trigger("worker-start", &worker_id);
     if cli.mine {
         exit(run_mine(&cli));
+    }
+    // Every knob the experiments read is checked before any work: a bad
+    // value is a usage error, not a panic (or an abort) mid-battery.
+    if let Err(e) = microlib_bench::check_env() {
+        eprintln!("{e}");
+        exit(2);
     }
     let out_dir = cli.out_dir.clone().unwrap_or_else(|| default_out_dir(&cli));
     fs::create_dir_all(&out_dir).expect("results dir");
     let mut cx = Context::new();
-    // Drop-time sweep for every path that unwinds or returns without
-    // reaching the explicit finish() below: no exit leaves lease files
-    // behind. (exit() skips Drop, but those paths finish() explicitly.)
+    // Drop-time journal flush for every path that unwinds or returns
+    // without reaching the explicit finish() below (exit() skips Drop,
+    // but those paths finish() explicitly).
     let _finish = cx.store().finish_guard();
-    if let Some(spec) = &cli.shard {
-        println!(
-            ">>> worker{}: shard {spec}, cache {}",
-            if worker_id.is_empty() {
-                String::new()
-            } else {
-                format!(" {worker_id}")
-            },
-            cli.cache_dir.as_deref().unwrap_or("off"),
-        );
-    }
     let battery = Instant::now();
     let mut failed: Vec<&'static str> = Vec::new();
     let mut ran = 0usize;
@@ -1014,16 +503,12 @@ fn main() {
             continue;
         }
         ran += 1;
-        // Quarantine repro commands name the experiment that was running
-        // when the poison cell was claimed.
-        microlib::set_run_scope(name);
         println!(">>> {name}");
         let t = Instant::now();
         let mut captured: Vec<u8> = Vec::new();
         // One failing experiment (a panicking sweep cell, say) must not
         // sink the rest of the battery: catch it, keep the partial
-        // capture for diagnosis, move on — the old child-process
-        // orchestrator's isolation, kept across the in-process port.
+        // capture for diagnosis, move on.
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| run(&mut cx, &mut captured)));
         let path = format!("{out_dir}/{name}.txt");
         fs::write(&path, &captured).expect("write result");
@@ -1050,8 +535,8 @@ fn main() {
         // with the same configuration re-hydrates from disk.)
         cx.store().clear_warm_states();
     }
-    // Clean-exit sweep: release every lease this process still holds and
-    // fsync the memo journal, before any of the exit paths below.
+    // Clean-exit flush: fsync the memo journal before any of the exit
+    // paths below.
     cx.store().finish();
     let stats = cx.store().stats();
     eprintln!(
@@ -1075,12 +560,6 @@ fn main() {
             stats.cells_recomputed(),
         ),
         None => eprintln!("disk cache: off"),
-    }
-    if stats.lease_claims + stats.lease_waits + stats.cells_quarantined > 0 {
-        eprintln!(
-            "lease layer: claimed {} cells, waited out {} held elsewhere, {} quarantined",
-            stats.lease_claims, stats.lease_waits, stats.cells_quarantined,
-        );
     }
 
     // A partially failed battery must never look green: summarize every

@@ -13,12 +13,19 @@
 //! - `MICROLIB_SKIP` — warmed (functionally simulated) instructions
 //!   (default 150 000);
 //! - `MICROLIB_SIM` — detailed-simulated instructions (default 100 000);
-//! - `MICROLIB_SEED` — workload seed (default `0xC0FFEE`);
+//! - `MICROLIB_SEED` — workload seed (default `0xC0FFEE`; decimal or
+//!   `0x` hex);
 //! - `MICROLIB_THREADS` — worker threads (default: all cores);
 //! - `MICROLIB_SAMPLED` — `1`/`on` runs sweeps SimPoint-sampled with the
 //!   default plan for the window, `interval/clusters[/warmup]` picks an
 //!   explicit plan (what `run_all --sampled` sets; see
 //!   [`SamplingMode::SimPoints`]).
+//!
+//! An unset or empty knob takes its default; any other value that does
+//! not parse, or a window any experiment would derive past
+//! [`MAX_WINDOW_INSTS`], is an error. [`check_env`] reports the first
+//! such knob by name — `run_all` calls it before any work and exits 2 on
+//! it — and the `std_*` accessors panic on one.
 //!
 //! Result tables are written to stdout and are bit-identical for any
 //! `MICROLIB_THREADS` value; progress and timing go to stderr.
@@ -26,79 +33,190 @@
 #![warn(missing_docs)]
 
 use microlib::{ArtifactStore, Campaign, ExperimentConfig, Matrix, SamplingMode, SimOptions};
-use microlib_trace::TraceWindow;
+use microlib_trace::{TraceWindow, MAX_WINDOW_INSTS};
 use std::io::Write as _;
 use std::sync::{Arc, Mutex};
 
 pub mod experiments;
 
+/// The seed every experiment uses unless `MICROLIB_SEED` says otherwise.
+pub const DEFAULT_SEED: u64 = 0xC0FFEE;
+
+/// Parses one unsigned knob value: decimal, or hexadecimal after a `0x`
+/// (or `0X`) prefix — the form seeds are printed in.
+///
+/// # Errors
+///
+/// A message naming `name` when `raw` is not such a number.
+pub fn parse_u64_knob(name: &str, raw: &str) -> Result<u64, String> {
+    let trimmed = raw.trim();
+    match trimmed
+        .strip_prefix("0x")
+        .or_else(|| trimmed.strip_prefix("0X"))
+    {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => trimmed.parse().ok(),
+    }
+    .ok_or_else(|| format!("{name}={raw:?} is not an unsigned integer (decimal or 0x hex)"))
+}
+
+/// The environment knob `name`: `default` when unset or empty, else its
+/// [`parse_u64_knob`] value.
+///
+/// # Errors
+///
+/// The [`parse_u64_knob`] error (a non-UTF-8 value never parses).
+pub fn env_u64(name: &str, default: u64) -> Result<u64, String> {
+    match std::env::var_os(name) {
+        Some(raw) if !raw.to_string_lossy().trim().is_empty() => {
+            parse_u64_knob(name, &raw.to_string_lossy())
+        }
+        _ => Ok(default),
+    }
+}
+
+/// Checks a `MICROLIB_SKIP`/`MICROLIB_SIM` pair and returns its window.
+/// `simulate` must be positive, and every window derived from the pair
+/// must end at or below [`MAX_WINDOW_INSTS`]: the window itself, the
+/// [`article_window`] (half the skip, twice the simulate), and the
+/// miner's shortest `win` variant (simulate floored at 1 000).
+///
+/// # Errors
+///
+/// A message naming both knobs and the bound.
+pub fn checked_window(skip: u64, simulate: u64) -> Result<TraceWindow, String> {
+    if simulate == 0 {
+        return Err("MICROLIB_SIM=0: the window must simulate at least one instruction".to_owned());
+    }
+    let window = TraceWindow::new(skip, simulate);
+    let fits = |w: TraceWindow| w.bounded_end().is_some();
+    // The window itself is checked first: it bounds `simulate`, so the
+    // article window's doubling cannot overflow.
+    if fits(window) && fits(article_of(window)) && fits(TraceWindow::new(skip, simulate.max(1_000)))
+    {
+        return Ok(window);
+    }
+    Err(format!(
+        "MICROLIB_SKIP={skip} MICROLIB_SIM={simulate}: every window derived from them \
+         (skip + simulate, the article window skip/2 + 2*simulate) must end at or below \
+         {MAX_WINDOW_INSTS} instructions"
+    ))
+}
+
+/// `MICROLIB_SKIP`/`MICROLIB_SIM` with the given defaults, checked by
+/// [`checked_window`].
+///
+/// # Errors
+///
+/// An unparseable knob or an out-of-bounds window.
+pub fn env_window(default_skip: u64, default_simulate: u64) -> Result<TraceWindow, String> {
+    checked_window(
+        env_u64("MICROLIB_SKIP", default_skip)?,
+        env_u64("MICROLIB_SIM", default_simulate)?,
+    )
+}
+
+/// Parses a `MICROLIB_SAMPLED` value for runs over `window`: empty, `0`,
+/// `off` or `false` run full simulations; `1`, `on` or `true` use
+/// [`SamplingMode::simpoints_for`] the window; anything else must be a
+/// [`SamplingMode::parse`] plan.
+///
+/// # Errors
+///
+/// A message naming the knob when the value is none of those.
+pub fn parse_sampling_knob(raw: &str, window: TraceWindow) -> Result<SamplingMode, String> {
+    match raw.trim() {
+        "" | "0" | "off" | "false" => Ok(SamplingMode::Full),
+        "1" | "on" | "true" => Ok(SamplingMode::simpoints_for(window)),
+        spec => SamplingMode::parse(spec)
+            .map_err(|e| format!("MICROLIB_SAMPLED={raw:?}: {e}; or use 0/1/on/off")),
+    }
+}
+
+/// Checks every knob the battery reads (see the crate docs), so a binary
+/// can reject bad input before it allocates or simulates anything.
+///
+/// # Errors
+///
+/// The first offending knob's message.
+pub fn check_env() -> Result<(), String> {
+    let window = env_window(150_000, 100_000)?;
+    env_u64("MICROLIB_SEED", DEFAULT_SEED)?;
+    env_threads()?;
+    sampling_from_env(window)?;
+    Ok(())
+}
+
+/// Unwraps a knob that [`check_env`] would have rejected.
+fn knob<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// `MICROLIB_THREADS` (0 = all cores).
+///
+/// # Errors
+///
+/// An unparseable value, or one that does not fit `usize`.
+pub fn env_threads() -> Result<usize, String> {
+    let threads = env_u64("MICROLIB_THREADS", 0)?;
+    usize::try_from(threads).map_err(|_| format!("MICROLIB_THREADS={threads} is too large"))
+}
+
+fn sampling_from_env(window: TraceWindow) -> Result<SamplingMode, String> {
+    std::env::var_os("MICROLIB_SAMPLED").map_or(Ok(SamplingMode::Full), |raw| {
+        parse_sampling_knob(&raw.to_string_lossy(), window)
+    })
+}
+
+fn article_of(w: TraceWindow) -> TraceWindow {
+    TraceWindow::new(w.skip / 2, w.simulate * 2)
+}
+
 /// Environment-configurable trace window shared by all experiments.
+///
+/// # Panics
+///
+/// On a window knob [`check_env`] rejects.
 pub fn std_window() -> TraceWindow {
-    let skip = env_u64("MICROLIB_SKIP", 150_000);
-    let simulate = env_u64("MICROLIB_SIM", 100_000);
-    TraceWindow::new(skip, simulate)
+    knob(env_window(150_000, 100_000))
 }
 
 /// The longer "article setup" window for validation experiments (the
 /// paper's "skip 1 billion, simulate 2 billion", scaled).
+///
+/// # Panics
+///
+/// On a window knob [`check_env`] rejects.
 pub fn article_window() -> TraceWindow {
-    let w = std_window();
-    TraceWindow::new(w.skip / 2, w.simulate * 2)
+    article_of(std_window())
 }
 
 /// Environment-configurable seed.
+///
+/// # Panics
+///
+/// On a `MICROLIB_SEED` [`check_env`] rejects.
 pub fn std_seed() -> u64 {
-    env_u64("MICROLIB_SEED", 0xC0FFEE)
+    knob(env_u64("MICROLIB_SEED", DEFAULT_SEED))
 }
 
 /// Environment-configurable thread count (0 = all cores).
+///
+/// # Panics
+///
+/// On a `MICROLIB_THREADS` [`check_env`] rejects.
 pub fn std_threads() -> usize {
-    env_u64("MICROLIB_THREADS", 0) as usize
+    knob(env_threads())
 }
 
-/// Environment-configurable sampling mode (`MICROLIB_SAMPLED`): unset,
-/// `0`, `off` or `false` run full simulations; `1`, `on` or `true` use
-/// [`SamplingMode::simpoints_for`] the standard window; an
-/// `interval/clusters[/warmup]` triple picks an explicit SimPoint plan.
-/// Unparseable values warn on stderr and fall back to the default plan.
+/// Environment-configurable sampling mode (`MICROLIB_SAMPLED`, see
+/// [`parse_sampling_knob`]); unset runs full simulations.
+///
+/// # Panics
+///
+/// On a knob [`check_env`] rejects.
 pub fn std_sampling() -> SamplingMode {
-    sampling_from_env(std_window())
-}
-
-fn sampling_from_env(window: TraceWindow) -> SamplingMode {
-    match std::env::var("MICROLIB_SAMPLED") {
-        Ok(value) => parse_sampling_spec(&value, window),
-        Err(_) => SamplingMode::Full,
-    }
-}
-
-fn parse_sampling_spec(spec: &str, window: TraceWindow) -> SamplingMode {
-    match spec {
-        "" | "0" | "off" | "false" => SamplingMode::Full,
-        "1" | "on" | "true" => SamplingMode::simpoints_for(window),
-        spec => {
-            let parts: Vec<Option<u64>> = spec.split('/').map(|p| p.parse::<u64>().ok()).collect();
-            match parts.as_slice() {
-                [Some(interval), Some(clusters)] => SamplingMode::SimPoints {
-                    interval: *interval,
-                    max_clusters: *clusters as usize,
-                    warmup: 0,
-                },
-                [Some(interval), Some(clusters), Some(warmup)] => SamplingMode::SimPoints {
-                    interval: *interval,
-                    max_clusters: *clusters as usize,
-                    warmup: *warmup,
-                },
-                _ => {
-                    eprintln!(
-                        "MICROLIB_SAMPLED={spec:?} is not 0/1/on/off or \
-                         interval/clusters[/warmup]; using the default plan"
-                    );
-                    SamplingMode::simpoints_for(window)
-                }
-            }
-        }
-    }
+    knob(sampling_from_env(std_window()))
 }
 
 /// Standard [`SimOptions`] for single runs.
@@ -129,13 +247,6 @@ pub fn par_pool() -> rayon::ThreadPool {
         .num_threads(std_threads())
         .build()
         .expect("experiment thread pool")
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// Runs `cfg` through the campaign engine with progress on stderr.
@@ -365,30 +476,66 @@ mod tests {
     #[test]
     fn sampling_spec_parses() {
         let w = TraceWindow::new(0, 100_000);
-        assert_eq!(parse_sampling_spec("off", w), SamplingMode::Full);
-        assert_eq!(parse_sampling_spec("0", w), SamplingMode::Full);
-        assert_eq!(parse_sampling_spec("1", w), SamplingMode::simpoints_for(w));
+        let parse = |raw| parse_sampling_knob(raw, w);
+        assert_eq!(parse("off"), Ok(SamplingMode::Full));
+        assert_eq!(parse("0"), Ok(SamplingMode::Full));
+        assert_eq!(parse("1"), Ok(SamplingMode::simpoints_for(w)));
         assert_eq!(
-            parse_sampling_spec("5000/3", w),
-            SamplingMode::SimPoints {
+            parse("5000/3"),
+            Ok(SamplingMode::SimPoints {
                 interval: 5_000,
                 max_clusters: 3,
                 warmup: 0
-            }
+            })
         );
         assert_eq!(
-            parse_sampling_spec("5000/3/20000", w),
-            SamplingMode::SimPoints {
+            parse("5000/3/20000"),
+            Ok(SamplingMode::SimPoints {
                 interval: 5_000,
                 max_clusters: 3,
                 warmup: 20_000
-            }
+            })
         );
-        // Garbage falls back to the default plan (with a warning).
+        for garbage in ["5000:3", "0/3", "5000/0", "5000/3/x", "5000/3/1/1"] {
+            let err = parse(garbage).unwrap_err();
+            assert!(err.contains("MICROLIB_SAMPLED"), "{garbage}: {err}");
+        }
+    }
+
+    #[test]
+    fn knobs_parse_decimal_and_hex_and_reject_garbage() {
+        assert_eq!(parse_u64_knob("K", "4660"), Ok(4660));
+        assert_eq!(parse_u64_knob("K", "0x1234"), Ok(0x1234));
+        assert_eq!(parse_u64_knob("K", " 0XC0FFEE "), Ok(0xC0FFEE));
+        for garbage in ["2e6", "-1", "0x", "1_000", "18446744073709551616", "ten"] {
+            let err = parse_u64_knob("MICROLIB_SIM", garbage).unwrap_err();
+            assert!(err.contains("MICROLIB_SIM"), "{garbage}: {err}");
+        }
+    }
+
+    #[test]
+    fn derived_windows_are_bounded() {
         assert_eq!(
-            parse_sampling_spec("5000:3", w),
-            SamplingMode::simpoints_for(w)
+            checked_window(150_000, 100_000),
+            Ok(TraceWindow::new(150_000, 100_000))
         );
+        let half = MAX_WINDOW_INSTS / 2;
+        assert!(
+            checked_window(0, half).is_ok(),
+            "article window ends at the cap"
+        );
+        assert!(
+            checked_window(0, half + 1).is_err(),
+            "article window passes the cap"
+        );
+        assert!(checked_window(MAX_WINDOW_INSTS - 1_000, 1).is_ok());
+        assert!(
+            checked_window(MAX_WINDOW_INSTS - 999, 1).is_err(),
+            "miner win floor"
+        );
+        assert!(checked_window(u64::MAX, 1).is_err(), "no wrap");
+        assert!(checked_window(0, 10_000_000_000_000).is_err());
+        assert!(checked_window(0, 0).is_err());
     }
 
     #[test]

@@ -59,8 +59,6 @@
 //! detected (checksums + embedded keys) and silently recomputed.
 
 use crate::disk::DiskCache;
-use crate::lease::{quarantined_error, Claim, LeaseManager};
-use crate::shard::ShardSpec;
 use crate::simulator::{RunResult, SimError};
 use microlib_mem::{capture_warm_state, FunctionalMemory, WarmState};
 use microlib_model::codec::BinCodec;
@@ -73,7 +71,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
-use std::time::{Duration, Instant};
 
 /// A stable identity string for a [`SystemConfig`]: every field, via the
 /// `Debug` rendering (exhaustive by construction — new fields show up
@@ -186,14 +183,6 @@ pub struct ArtifactStoreStats {
     pub plan_disk_hits: u64,
     /// Warm states served from the on-disk tier.
     pub warm_disk_hits: u64,
-    /// Cells this process claimed (and computed) through the lease layer.
-    pub lease_claims: u64,
-    /// Cells this process waited out instead of computing: another
-    /// worker held the lease (or owned the shard) and the memo arrived.
-    pub lease_waits: u64,
-    /// Cells refused because they were quarantined (crashed too many
-    /// consecutive claimers).
-    pub cells_quarantined: u64,
     /// Same-key cell requests that found the cell's memo slot locked —
     /// in practice, by a leader computing the cell in this process — and
     /// waited for the leader's memo instead of re-simulating (in-process
@@ -240,10 +229,6 @@ impl ArtifactStoreStats {
 /// ```
 pub struct ArtifactStore {
     disk: Option<DiskCache>,
-    lease: Option<LeaseManager>,
-    /// This process's shard and its steal grace (see
-    /// [`with_shard`](Self::with_shard)).
-    shard: Option<(ShardSpec, Duration)>,
     traces: Tier<(&'static str, u64), TraceState>,
     warm: Tier<WarmKey, WarmGate>,
     plans: Tier<PlanKey, Option<Arc<SamplingPlan>>>,
@@ -264,9 +249,6 @@ struct Counts {
     warm_declined: AtomicU64,
     warm_evictions: AtomicU64,
     memo_coalesced: AtomicU64,
-    lease_claims: AtomicU64,
-    lease_waits: AtomicU64,
-    cells_quarantined: AtomicU64,
 }
 
 impl std::fmt::Debug for ArtifactStore {
@@ -289,8 +271,6 @@ impl ArtifactStore {
     pub fn new() -> Self {
         ArtifactStore {
             disk: None,
-            lease: None,
-            shard: None,
             traces: Tier::default(),
             warm: Tier::default(),
             plans: Tier::default(),
@@ -316,54 +296,14 @@ impl ArtifactStore {
         self.disk.as_ref()
     }
 
-    /// Attaches a [`LeaseManager`]: memoized cells are then claimed
-    /// through first-writer-wins lease files before simulation, so
-    /// concurrent processes sharing the disk tier each compute a cell at
-    /// most once (see the [`crate::LeaseManager`] docs for the protocol,
-    /// crash recovery and quarantine). Only meaningful together with a
-    /// disk tier rooted at the same directory.
-    pub fn with_lease_manager(mut self, lease: LeaseManager) -> Self {
-        self.lease = Some(lease);
-        self
-    }
-
-    /// Sets this process's shard: memo misses on cells *another* shard
-    /// owns first wait out a grace period (`MICROLIB_STEAL_GRACE_MS`,
-    /// default 1500 ms, read here) for the owner's memo before claiming
-    /// the cell themselves — the partition steers work while the lease
-    /// layer keeps it correct and live (see [`ShardSpec`]).
-    pub fn with_shard(mut self, shard: ShardSpec) -> Self {
-        let grace_ms = std::env::var("MICROLIB_STEAL_GRACE_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1_500);
-        self.shard = Some((shard, Duration::from_millis(grace_ms)));
-        self
-    }
-
     /// A store with an on-disk tier at `MICROLIB_CACHE_DIR` when that is
     /// set to a path (unset, empty, `off`, `0` and `false` mean
-    /// memory-only). When the disk tier is active and multi-process
-    /// coordination is requested — `MICROLIB_SHARD` is set, or
-    /// `MICROLIB_LEASE` is `on`/`1`/`true` — the store also claims cells
-    /// through lease files in the cache dir.
+    /// memory-only).
     pub fn from_env() -> Self {
-        let mut store = Self::new();
-        if let Some(dir) = Self::cache_dir_from_env() {
-            store = store.with_disk_cache(dir.clone());
-            let shard = ShardSpec::from_env();
-            let lease_on = matches!(
-                std::env::var("MICROLIB_LEASE").as_deref(),
-                Ok("on" | "1" | "true")
-            );
-            if shard.is_some() || lease_on {
-                store = store.with_lease_manager(LeaseManager::new(dir));
-                if let Some(shard) = shard {
-                    store = store.with_shard(shard);
-                }
-            }
+        match Self::cache_dir_from_env() {
+            Some(dir) => Self::new().with_disk_cache(dir),
+            None => Self::new(),
         }
-        store
     }
 
     /// The disk-cache directory `MICROLIB_CACHE_DIR` requests, if any.
@@ -392,9 +332,6 @@ impl ArtifactStore {
             memo_disk_hits: read(&self.memo.disk_hits),
             plan_disk_hits: read(&self.plans.disk_hits),
             warm_disk_hits: read(&self.warm.disk_hits),
-            lease_claims: read(&counts.lease_claims),
-            lease_waits: read(&counts.lease_waits),
-            cells_quarantined: read(&counts.cells_quarantined),
             memo_coalesced: read(&counts.memo_coalesced),
             warm_evictions: read(&counts.warm_evictions),
         }
@@ -667,26 +604,18 @@ impl ArtifactStore {
 
     /// Resolves a memoized cell: its memo, else — as the key's leader —
     /// its disk journal entry or a fresh computation, journaled at once.
-    /// With a lease manager attached the leader claims the cell's lease
-    /// first, so across concurrent processes each cell is computed at
-    /// most once.
     ///
-    /// The key's slot lock is the in-process single-flight: a same-key
-    /// request that finds it held counts `memo_coalesced`, waits, and then
-    /// reads the leader's result as a hit, so N concurrent requests cost
-    /// one lease claim and one simulation. A leader whose computation
-    /// fails or panics drops its empty slot; a waiter that wakes to it
-    /// goes back to the map and leads the cell itself. `memo_misses` (the
-    /// "cells recomputed" number) counts actual computations only.
-    ///
-    /// `describe` yields the cell label and repro hint of the lease
-    /// layer's quarantine reports; a panic unwinding out of `compute`
-    /// abandons the claim (counting toward quarantine) before resuming.
+    /// The key's slot lock is the single-flight: a same-key request that
+    /// finds it held counts `memo_coalesced`, waits, and then reads the
+    /// leader's result as a hit, so N concurrent requests cost one
+    /// simulation. A leader whose computation fails or panics drops its
+    /// empty slot (a panic journals nothing and resumes unwinding); a
+    /// waiter that wakes to it goes back to the map and leads the cell
+    /// itself. `memo_misses` (the "cells recomputed" number) counts actual
+    /// computations only.
     pub(crate) fn memo_run(
         &self,
         key: &str,
-        benchmark: &str,
-        describe: impl FnOnce() -> (String, String),
         compute: impl FnOnce() -> Result<RunResult, SimError>,
     ) -> Result<Arc<RunResult>, SimError> {
         loop {
@@ -711,9 +640,7 @@ impl ArtifactStore {
             if !current {
                 continue;
             }
-            let led = catch_unwind(AssertUnwindSafe(|| {
-                self.memo_lead(key, benchmark, describe, compute)
-            }));
+            let led = catch_unwind(AssertUnwindSafe(|| self.memo_lead(key, compute)));
             return match led {
                 Ok(Ok(result)) => Ok(Arc::clone(memo.insert(result))),
                 failed => {
@@ -726,106 +653,39 @@ impl ArtifactStore {
     }
 
     /// A memo leader's path past the in-memory miss: the disk journal,
-    /// else the computation, journaled at once. With a lease manager the
-    /// leader first runs the claim loop of the [`LeaseManager`] docs,
-    /// waiting out other processes' leases (and, for cells another shard
-    /// owns, the steal grace) until the memo appears or the claim is ours.
+    /// else the computation, journaled at once.
     fn memo_lead(
         &self,
         key: &str,
-        benchmark: &str,
-        describe: impl FnOnce() -> (String, String),
         compute: impl FnOnce() -> Result<RunResult, SimError>,
     ) -> Result<Arc<RunResult>, SimError> {
-        let journaled = || {
-            let result = self
-                .disk
-                .as_ref()?
-                .load_with("memo", key, RunResult::decode)?;
-            bump(&self.memo.disk_hits);
-            Some(Arc::new(result))
-        };
-        let mut lease = None;
-        if let Some(manager) = &self.lease {
-            let (cell, repro) = describe();
-            let started = Instant::now();
-            let mut waited = false;
-            let mut poll = Duration::from_millis(5);
-            let poll_cap =
-                std::cmp::max(poll, Duration::from_millis(200).min(manager.timeout() / 3));
-            lease = loop {
-                if let Some(hit) = journaled() {
-                    if waited {
-                        bump(&self.counts.lease_waits);
-                    }
-                    return Ok(hit);
-                }
-                // Shard steering: give the owning shard a grace period to
-                // publish its memo before claiming its cell.
-                let steering = self
-                    .shard
-                    .as_ref()
-                    .is_some_and(|(shard, grace)| !shard.owns(key) && started.elapsed() < *grace);
-                if !steering {
-                    match manager.claim(key, &cell, &repro) {
-                        Claim::Acquired(guard) => {
-                            bump(&self.counts.lease_claims);
-                            break Some(guard);
-                        }
-                        Claim::Busy => {}
-                        Claim::Quarantined { attempts } => {
-                            bump(&self.counts.cells_quarantined);
-                            return Err(quarantined_error(benchmark, attempts));
-                        }
-                    }
-                }
-                waited = true;
-                std::thread::sleep(poll);
-                poll = (poll * 2).min(poll_cap);
-            };
-        } else if let Some(hit) = journaled() {
-            return Ok(hit);
+        if let Some(disk) = &self.disk {
+            if let Some(result) = disk.load_with("memo", key, RunResult::decode) {
+                bump(&self.memo.disk_hits);
+                return Ok(Arc::new(result));
+            }
         }
         bump(&self.memo.misses);
-        let result = match catch_unwind(AssertUnwindSafe(compute)) {
-            // A deterministic failure, not a crash: the lease guard's Drop
-            // releases lease + attempts (a retry would fail identically).
-            Ok(result) => result?,
-            Err(panic) => {
-                // Crash-like: keep the attempt on record and expire the
-                // lease so the next claimer retries — or quarantines.
-                if let Some(guard) = lease {
-                    guard.abandon();
-                }
-                resume_unwind(panic);
-            }
-        };
+        let result = compute()?;
         if let Some(disk) = &self.disk {
             disk.store_with("memo", key, usize::MAX, |e| result.encode(e));
-        }
-        if let Some(guard) = lease {
-            guard.complete();
         }
         Ok(Arc::new(result))
     }
 
-    /// Clean-shutdown sweep for multi-process runs: releases every lease
-    /// this process still holds and fsyncs the memo journal, so a
-    /// follow-up run neither waits out stale-lease timeouts nor loses
-    /// journaled cells to a machine crash. A no-op without those tiers.
+    /// Clean-shutdown flush: fsyncs the memo journal, so journaled cells
+    /// survive a machine crash right after the process exits. A no-op
+    /// without a disk tier.
     pub fn finish(&self) {
-        if let Some(lease) = &self.lease {
-            lease.release_owned();
-        }
         if let Some(disk) = &self.disk {
             disk.sync_class("memo");
         }
     }
 
-    /// An RAII handle over [`finish`](ArtifactStore::finish): the sweep
+    /// An RAII handle over [`finish`](ArtifactStore::finish): the flush
     /// runs when the guard drops — on clean returns, early `?` exits
     /// *and* unwinding panics alike — so exit paths that forget (or never
-    /// reach) an explicit `finish()` cannot leak lease files. `finish` is
+    /// reach) an explicit `finish()` still sync the journal. `finish` is
     /// idempotent; guarded code may still call it explicitly before a
     /// `std::process::exit` (which skips `Drop`).
     pub fn finish_guard(self: &Arc<Self>) -> FinishGuard {
@@ -836,10 +696,8 @@ impl ArtifactStore {
 }
 
 /// Runs [`ArtifactStore::finish`] on drop (see
-/// [`ArtifactStore::finish_guard`]): lease files are released and the
-/// memo journal fsynced however the scope exits — including panics —
-/// which is what lets the serve daemon's drain path and panicking tests
-/// guarantee a lease-free cache directory.
+/// [`ArtifactStore::finish_guard`]): the memo journal is fsynced however
+/// the scope exits, panics included.
 #[must_use = "the sweep runs when the guard drops; an unbound guard drops immediately"]
 pub struct FinishGuard {
     store: Arc<ArtifactStore>,

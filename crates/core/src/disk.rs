@@ -177,9 +177,9 @@ impl DiskCache {
     }
 
     /// Fsyncs every entry of `class` and the class directory itself, so
-    /// a clean worker exit guarantees its journaled memos survive a
-    /// machine crash (rename gives atomicity, not durability). Best
-    /// effort, like every other cache operation.
+    /// a clean exit guarantees its journaled memos survive a machine
+    /// crash (rename gives atomicity, not durability). Best effort, like
+    /// every other cache operation.
     pub fn sync_class(&self, class: &str) {
         let dir = self.root.join(class);
         let Ok(entries) = fs::read_dir(&dir) else {

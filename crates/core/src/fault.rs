@@ -1,4 +1,4 @@
-//! Deterministic fault injection for the fault-tolerance test matrix.
+//! Deterministic fault injection for the crash-safety tests.
 //!
 //! `MICROLIB_FAULT` arms one or more *fault specs*, each of the form
 //!
@@ -12,9 +12,8 @@
 //!
 //! | kind | effect at the injection point |
 //! |---|---|
-//! | `abort` (default) | `std::process::abort()` — an uncatchable `SIGABRT`, indistinguishable from a `SIGKILL`-class crash to the coordinator |
-//! | `panic` | a Rust panic — exercises the in-process isolation layers (`catch_unwind` per experiment, lease abandonment on unwind) |
-//! | `stall` | freezes lease heartbeats ([`stalled`]) and sleeps `MICROLIB_FAULT_STALL_MS` (default 600 000 ms), then aborts — exercises the stale-lease timeout → reclaim → kill path |
+//! | `abort` (default) | `std::process::abort()` — an uncatchable `SIGABRT`, standing in for a `SIGKILL`-class crash |
+//! | `panic` | a Rust panic — exercises the in-process isolation layers (`catch_unwind` per experiment, the memo slot's panicking-leader recovery) |
 //! | `torn` | returned to the caller ([`injected`]), which simulates a torn write: truncated bytes placed at the *final* path, bypassing the atomic temp-file + rename protocol |
 //!
 //! Injection points wired through the codebase:
@@ -22,28 +21,13 @@
 //! | point | qualifier | where |
 //! |---|---|---|
 //! | `disk-write` | entry class (`memo`, `plan`, `warm`) | [`DiskCache::store`](crate::DiskCache::store) — `disk-write@memo` is the memo-journal write |
-//! | `lease-write` | — | lease-file body write in [`LeaseManager`](crate::LeaseManager) |
-//! | `cell` | `<benchmark>+<mechanism acronym>` (e.g. `swim+GHB`) | cell execution, after the lease claim and before the simulation |
-//! | `worker-start` | worker id | `run_all` worker startup |
+//! | `cell` | `<benchmark>+<mechanism acronym>` (e.g. `swim+GHB`) | cell execution, after the memo and journal misses and before the simulation |
 //!
-//! Determinism knobs:
-//!
-//! - `MICROLIB_FAULT_WORKER=<id>` restricts the whole harness to the
-//!   worker whose `MICROLIB_WORKER_ID` matches, so a multi-worker test
-//!   can kill exactly one worker while the others stay healthy.
-//! - A numeric `nth` fires **once globally**, not once per process: the
-//!   first process to fire records a sentinel file under
-//!   `$MICROLIB_FAULT_DIR` (default `$MICROLIB_CACHE_DIR/fault`), so a
-//!   respawned worker does not re-crash at the same point and recovery
-//!   can be observed. `nth = *` skips the sentinel and fires every time
-//!   in every process — the semantics a poison cell needs.
-//!
-//! Everything here is inert (one relaxed atomic load per call site)
-//! unless a spec is armed.
+//! A numeric `nth` counts hits in this process only, so a rerun without
+//! `MICROLIB_FAULT` is the recovery run. Everything here is inert (one
+//! mutex read per call site) unless a spec is armed.
 
-use microlib_model::codec::fnv1a;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// What an armed fault spec does when it fires (see the module docs).
@@ -53,8 +37,6 @@ pub enum FaultKind {
     Abort,
     /// A Rust panic (unwinds through the cell into the experiment catch).
     Panic,
-    /// Freeze heartbeats, sleep `MICROLIB_FAULT_STALL_MS`, then abort.
-    Stall,
     /// Returned to the write site, which places truncated bytes at the
     /// final path (simulating a torn, non-atomic write).
     Torn,
@@ -65,29 +47,15 @@ pub enum FaultKind {
 struct FaultSpec {
     point: String,
     qual: Option<String>,
-    /// `None` = fire on every hit; `Some(n)` = fire on the `n`th hit of
-    /// this process (guarded by the global one-shot sentinel).
+    /// `None` = fire on every hit; `Some(n)` = fire on the `n`th hit.
     nth: Option<u64>,
     kind: FaultKind,
     hits: AtomicU64,
-    /// The raw spec text (sentinel-file identity).
-    text: String,
 }
 
 #[derive(Debug)]
 struct Harness {
     specs: Vec<FaultSpec>,
-    /// Sentinel directory for the fire-once-globally protocol.
-    dir: Option<PathBuf>,
-}
-
-/// Set once a stall fault fires: the lease heartbeat thread checks this
-/// and stops touching lease files, exactly as a frozen process would.
-static STALLED: AtomicBool = AtomicBool::new(false);
-
-/// `true` once a stall fault has fired in this process.
-pub fn stalled() -> bool {
-    STALLED.load(Ordering::Relaxed)
 }
 
 fn slot() -> &'static Mutex<Option<&'static Harness>> {
@@ -108,7 +76,7 @@ fn active() -> Option<&'static Harness> {
 /// Returns the parse failure for a malformed spec; the previously armed
 /// harness stays in place.
 pub fn arm(spec: &str) -> Result<(), String> {
-    let harness = parse_harness(spec, fault_dir())?;
+    let harness = parse_harness(spec)?;
     *slot().lock().expect("fault harness lock") = Some(&*Box::leak(Box::new(harness)));
     Ok(())
 }
@@ -118,33 +86,12 @@ pub fn disarm() {
     *slot().lock().expect("fault harness lock") = None;
 }
 
-fn fault_dir() -> Option<PathBuf> {
-    if let Ok(dir) = std::env::var("MICROLIB_FAULT_DIR") {
-        if !dir.is_empty() {
-            return Some(PathBuf::from(dir));
-        }
-    }
-    match std::env::var("MICROLIB_CACHE_DIR") {
-        Ok(dir) if !matches!(dir.as_str(), "" | "off" | "0" | "false") => {
-            Some(PathBuf::from(dir).join("fault"))
-        }
-        _ => None,
-    }
-}
-
 fn harness_from_env() -> Option<Harness> {
     let spec = std::env::var("MICROLIB_FAULT").ok()?;
     if spec.is_empty() {
         return None;
     }
-    // MICROLIB_FAULT_WORKER targets one worker; any other process
-    // (including the coordinator, which has no worker id) stays clean.
-    if let Ok(target) = std::env::var("MICROLIB_FAULT_WORKER") {
-        if std::env::var("MICROLIB_WORKER_ID").as_deref() != Ok(target.as_str()) {
-            return None;
-        }
-    }
-    match parse_harness(&spec, fault_dir()) {
+    match parse_harness(&spec) {
         Ok(h) => Some(h),
         Err(e) => {
             eprintln!("MICROLIB_FAULT={spec:?} ignored: {e}");
@@ -153,7 +100,7 @@ fn harness_from_env() -> Option<Harness> {
     }
 }
 
-fn parse_harness(spec: &str, dir: Option<PathBuf>) -> Result<Harness, String> {
+fn parse_harness(spec: &str) -> Result<Harness, String> {
     let mut specs = Vec::new();
     for part in spec.split(',').filter(|p| !p.is_empty()) {
         specs.push(parse_spec(part)?);
@@ -161,7 +108,7 @@ fn parse_harness(spec: &str, dir: Option<PathBuf>) -> Result<Harness, String> {
     if specs.is_empty() {
         return Err("no fault specs".to_owned());
     }
-    Ok(Harness { specs, dir })
+    Ok(Harness { specs })
 }
 
 fn parse_spec(part: &str) -> Result<FaultSpec, String> {
@@ -190,7 +137,6 @@ fn parse_spec(part: &str) -> Result<FaultSpec, String> {
     let kind = match kind {
         "abort" => FaultKind::Abort,
         "panic" => FaultKind::Panic,
-        "stall" => FaultKind::Stall,
         "torn" | "torn-write" => FaultKind::Torn,
         other => return Err(format!("unknown fault kind {other:?}")),
     };
@@ -200,29 +146,23 @@ fn parse_spec(part: &str) -> Result<FaultSpec, String> {
         nth,
         kind,
         hits: AtomicU64::new(0),
-        text: part.to_owned(),
     })
 }
 
 impl Harness {
-    /// Claims the global one-shot sentinel for `spec`. `true` means this
-    /// process fires; `false` means another process (an earlier
-    /// incarnation of a respawned worker, typically) already did.
-    fn claim_once(&self, spec: &FaultSpec) -> bool {
-        let Some(dir) = &self.dir else { return true };
-        if std::fs::create_dir_all(dir).is_err() {
-            return true;
+    /// Counts a hit on `(point, qual)` against every matching spec and
+    /// returns the kind of the first spec that fires.
+    fn fire(&self, point: &str, qual: &str) -> Option<FaultKind> {
+        for spec in &self.specs {
+            if spec.point != point || spec.qual.as_deref().is_some_and(|q| q != qual) {
+                continue;
+            }
+            let hit = spec.hits.fetch_add(1, Ordering::Relaxed) + 1;
+            if spec.nth.is_none_or(|n| hit == n) {
+                return Some(spec.kind);
+            }
         }
-        let sentinel = dir.join(format!("{:016x}.fired", fnv1a(spec.text.as_bytes())));
-        match std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(sentinel)
-        {
-            Ok(_) => true,
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => false,
-            Err(_) => true,
-        }
+        None
     }
 }
 
@@ -232,30 +172,11 @@ impl Harness {
 /// and [`execute`] everything else; sites with nothing to tear use
 /// [`trigger`].
 pub fn injected(point: &str, qual: &str) -> Option<FaultKind> {
-    let harness = active()?;
-    for spec in &harness.specs {
-        if spec.point != point {
-            continue;
-        }
-        if let Some(q) = &spec.qual {
-            if q != qual {
-                continue;
-            }
-        }
-        let hit = spec.hits.fetch_add(1, Ordering::Relaxed) + 1;
-        let fires = match spec.nth {
-            None => true,
-            Some(n) => hit == n && harness.claim_once(spec),
-        };
-        if fires {
-            return Some(spec.kind);
-        }
-    }
-    None
+    active()?.fire(point, qual)
 }
 
-/// Performs a fired fault: abort, panic, or stall-then-abort.
-/// [`FaultKind::Torn`] is a no-op here — only write sites can tear.
+/// Performs a fired fault: abort or panic. [`FaultKind::Torn`] is a
+/// no-op here — only write sites can tear.
 pub fn execute(kind: FaultKind, point: &str, qual: &str) {
     let at = if qual.is_empty() {
         point.to_owned()
@@ -267,19 +188,6 @@ pub fn execute(kind: FaultKind, point: &str, qual: &str) {
         FaultKind::Panic => panic!("injected fault: panic at {at}"),
         FaultKind::Abort => {
             eprintln!("injected fault: abort at {at}");
-            std::process::abort();
-        }
-        FaultKind::Stall => {
-            eprintln!("injected fault: stall at {at} (heartbeats frozen)");
-            STALLED.store(true, Ordering::Relaxed);
-            let ms = std::env::var("MICROLIB_FAULT_STALL_MS")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(600_000);
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-            // A stalled worker that nobody killed must still not complete
-            // the cell (the stall simulates a hang, not a delay).
-            eprintln!("injected fault: stall at {at} expired; aborting");
             std::process::abort();
         }
     }
@@ -298,7 +206,7 @@ mod tests {
 
     #[test]
     fn spec_grammar_parses() {
-        let h = parse_harness("cell@swim+GHB:1:panic,disk-write@memo:3:torn", None).unwrap();
+        let h = parse_harness("cell@swim+GHB:1:panic,disk-write@memo:3:torn").unwrap();
         assert_eq!(h.specs.len(), 2);
         assert_eq!(h.specs[0].point, "cell");
         assert_eq!(h.specs[0].qual.as_deref(), Some("swim+GHB"));
@@ -306,55 +214,37 @@ mod tests {
         assert_eq!(h.specs[0].kind, FaultKind::Panic);
         assert_eq!(h.specs[1].kind, FaultKind::Torn);
 
-        let every = parse_harness("cell:*:abort", None).unwrap();
+        let every = parse_harness("cell:*:abort").unwrap();
         assert_eq!(every.specs[0].nth, None);
         assert_eq!(every.specs[0].kind, FaultKind::Abort);
         assert_eq!(every.specs[0].qual, None);
 
-        let default_kind = parse_harness("worker-start:2", None).unwrap();
+        let default_kind = parse_harness("cell:2").unwrap();
         assert_eq!(default_kind.specs[0].kind, FaultKind::Abort);
 
-        assert!(parse_harness("", None).is_err());
-        assert!(parse_harness("cell", None).is_err());
-        assert!(parse_harness("cell:0", None).is_err());
-        assert!(parse_harness("cell:x", None).is_err());
-        assert!(parse_harness("cell:1:explode", None).is_err());
-        assert!(parse_harness("@q:1", None).is_err());
+        assert!(parse_harness("").is_err());
+        assert!(parse_harness("cell").is_err());
+        assert!(parse_harness("cell:0").is_err());
+        assert!(parse_harness("cell:x").is_err());
+        assert!(parse_harness("cell:1:explode").is_err());
+        assert!(parse_harness("cell:1:stall").is_err());
+        assert!(parse_harness("@q:1").is_err());
     }
 
     #[test]
     fn nth_counts_per_spec_and_qualifier_filters() {
-        let h = parse_harness("p@a:2:torn", None).unwrap();
-        let fire = |point: &str, qual: &str| -> Option<FaultKind> {
-            for spec in &h.specs {
-                if spec.point != point {
-                    continue;
-                }
-                if let Some(q) = &spec.qual {
-                    if q != qual {
-                        continue;
-                    }
-                }
-                let hit = spec.hits.fetch_add(1, Ordering::Relaxed) + 1;
-                if spec.nth.is_none_or(|n| hit == n) {
-                    return Some(spec.kind);
-                }
-            }
-            None
-        };
-        assert_eq!(fire("p", "b"), None, "other qualifier never counts");
-        assert_eq!(fire("p", "a"), None, "first hit: not yet");
-        assert_eq!(fire("p", "a"), Some(FaultKind::Torn), "second hit fires");
-        assert_eq!(fire("p", "a"), None, "numeric nth fires once");
-    }
+        let h = parse_harness("p@a:2:torn").unwrap();
+        assert_eq!(h.fire("p", "b"), None, "other qualifier never counts");
+        assert_eq!(h.fire("p", "a"), None, "first hit: not yet");
+        assert_eq!(h.fire("p", "a"), Some(FaultKind::Torn), "second hit fires");
+        assert_eq!(h.fire("p", "a"), None, "numeric nth fires once");
 
-    #[test]
-    fn one_shot_sentinel_claims_once() {
-        let dir = std::env::temp_dir().join(format!("microlib-fault-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let h = parse_harness("p:1:abort", Some(dir.clone())).unwrap();
-        assert!(h.claim_once(&h.specs[0]), "first claim wins");
-        assert!(!h.claim_once(&h.specs[0]), "second claim is refused");
-        let _ = std::fs::remove_dir_all(&dir);
+        let every = parse_harness("p:*:panic").unwrap();
+        assert_eq!(every.fire("p", "x"), Some(FaultKind::Panic));
+        assert_eq!(
+            every.fire("p", "y"),
+            Some(FaultKind::Panic),
+            "'*' fires every hit"
+        );
     }
 }

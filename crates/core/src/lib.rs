@@ -67,12 +67,10 @@ mod campaign;
 mod disk;
 mod experiment;
 pub mod fault;
-mod lease;
 mod ranking;
 pub mod report;
 mod sampling;
 mod sensitivity;
-mod shard;
 mod simulator;
 mod validation;
 
@@ -81,14 +79,12 @@ pub use artifacts::{config_key, ArtifactStore, ArtifactStoreStats, FinishGuard};
 pub use campaign::{Campaign, CampaignCell, CampaignReport, CellUpdate};
 pub use disk::{DiskCache, FORMAT_VERSION};
 pub use experiment::{run_matrix, ExperimentConfig, Matrix};
-pub use lease::{set_run_scope, Claim, LeaseGuard, LeaseManager, QuarantineReport};
 pub use ranking::{
     rank_by_speedup, rank_mechanisms, ranking_row, subset_winner_analysis, RankedMechanism,
     SubsetWinners,
 };
 pub use sampling::SamplingMode;
 pub use sensitivity::{benchmark_sensitivity, sensitivity_classes, BenchmarkSensitivity};
-pub use shard::ShardSpec;
 pub use simulator::{execute, run_one, Cell, CustomMechanism, RunResult, SimError, SimOptions};
 pub use validation::{
     article_speedup, compare_dbcp_variants, compare_fidelity, speedup_of, DbcpComparison,

@@ -99,6 +99,42 @@ impl SamplingMode {
         }
     }
 
+    /// Parses the textual form campaign specs and `MICROLIB_SAMPLED` share:
+    /// `"full"`, or `"interval/clusters"` / `"interval/clusters/warmup"`
+    /// with a positive interval and cluster cap.
+    ///
+    /// # Errors
+    ///
+    /// A description of what is malformed.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        if s == "full" {
+            return Ok(SamplingMode::Full);
+        }
+        let mut parts = s.split('/');
+        let parse = |part: Option<&str>| part.and_then(|p| p.parse::<u64>().ok());
+        let (interval, max_clusters) = parse(parts.next())
+            .zip(parse(parts.next()))
+            .filter(|&(i, k)| i > 0 && k > 0)
+            .ok_or_else(|| {
+                format!("bad sampling spec {s:?} (want \"interval/clusters[/warmup]\")")
+            })?;
+        let warmup = match parts.next() {
+            None => 0,
+            Some(w) => w
+                .parse::<u64>()
+                .map_err(|_| format!("bad sampling warmup in {s:?}"))?,
+        };
+        if parts.next().is_some() {
+            return Err(format!("bad sampling spec {s:?}"));
+        }
+        Ok(SamplingMode::SimPoints {
+            interval,
+            max_clusters: usize::try_from(max_clusters)
+                .map_err(|_| format!("bad sampling cluster cap in {s:?}"))?,
+            warmup,
+        })
+    }
+
     /// Whether this mode samples (anything but [`SamplingMode::Full`]).
     pub fn is_sampled(&self) -> bool {
         !matches!(self, SamplingMode::Full)

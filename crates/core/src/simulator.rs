@@ -294,15 +294,6 @@ pub enum SimError {
         /// Budget that was exhausted.
         cycles: u64,
     },
-    /// The cell crashed too many consecutive workers and was quarantined
-    /// by the lease layer (see [`crate::LeaseManager`]); it was not
-    /// computed, but the rest of the battery still completes.
-    Quarantined {
-        /// Benchmark of the poisoned cell.
-        benchmark: String,
-        /// Crashed attempts recorded before quarantine.
-        attempts: u32,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -315,15 +306,6 @@ impl fmt::Display for SimError {
             }
             SimError::Timeout { benchmark, cycles } => {
                 write!(f, "{benchmark}: exceeded {cycles}-cycle budget")
-            }
-            SimError::Quarantined {
-                benchmark,
-                attempts,
-            } => {
-                write!(
-                    f,
-                    "{benchmark}: quarantined after {attempts} crashed attempts"
-                )
             }
         }
     }
@@ -443,18 +425,10 @@ impl<'a> Cell<'a> {
 /// # Errors
 ///
 /// Returns a [`SimError`] for invalid configurations, unknown benchmarks,
-/// value-integrity violations, cycle-budget exhaustion, or (under a lease
-/// manager) a quarantined cell.
+/// value-integrity violations or cycle-budget exhaustion.
 pub fn execute(store: &ArtifactStore, cell: &Cell<'_>) -> Result<RunResult, SimError> {
     let (benchmark, mechanism) = (cell.benchmark, cell.mechanism);
-    let describe = || {
-        let label = match &cell.custom {
-            Some(custom) => format!("{benchmark} x {mechanism} [{}]", custom.variant),
-            None => format!("{benchmark} x {mechanism}"),
-        };
-        (label, repro_hint(&cell.opts))
-    };
-    let result = store.memo_run(&cell.key(), benchmark, describe, || {
+    let result = store.memo_run(&cell.key(), || {
         crate::fault::trigger("cell", &format!("{benchmark}+{mechanism}"));
         if cell.opts.sampling.is_sampled() {
             run_sampled(store, cell)
@@ -503,16 +477,6 @@ pub fn run_one(
 ) -> Result<RunResult, SimError> {
     let cell = Cell::new(Arc::new(config.clone()), mechanism, benchmark, *opts);
     execute(&ArtifactStore::new(), &cell)
-}
-
-/// The environment part of a quarantined cell's minimized repro command:
-/// enough to replay exactly this window and seed single-process, without
-/// the cache (so the repro actually re-executes the crashing cell).
-fn repro_hint(opts: &SimOptions) -> String {
-    format!(
-        "MICROLIB_SKIP={} MICROLIB_SIM={} MICROLIB_SEED={:#x} run_all --no-cache",
-        opts.window.skip, opts.window.simulate, opts.seed
-    )
 }
 
 /// A cell's system after the warm phase, ready for detailed simulation.

@@ -29,11 +29,6 @@ pub struct MineConfig {
     pub mechanisms: Vec<MechanismKind>,
     /// Worker threads (0 = one per available core, capped at 8).
     pub threads: usize,
-    /// Optional `(index, count)` shard hint: own-shard cells are probed
-    /// first so parallel workers spend their leases on disjoint cells,
-    /// but every worker still computes the full budget (outputs stay
-    /// byte-identical across workers).
-    pub shard: Option<(u32, u32)>,
 }
 
 impl MineConfig {
@@ -46,7 +41,6 @@ impl MineConfig {
             base_opts,
             mechanisms: DEFAULT_MECHANISMS.to_vec(),
             threads: 0,
-            shard: None,
         }
     }
 }
@@ -123,28 +117,37 @@ fn memo_key(cfg: &MineConfig, benchmark: &str, delta: &ConfigDelta, perturb: f64
     )
 }
 
-fn encode_outcome(outcome: &CellOutcome, enc: &mut Encoder) {
-    match outcome {
-        CellOutcome::Consistent => enc.put_u8(0),
-        CellOutcome::Cliff(record) => {
-            enc.put_u8(1);
-            enc.put_str(&record.render());
-        }
-        CellOutcome::Failed(err) => {
-            enc.put_u8(2);
-            enc.put_str(err);
+impl CellOutcome {
+    /// Encodes the outcome as its disk-cache payload (a cliff as its
+    /// rendered record).
+    pub fn encode(&self, enc: &mut Encoder) {
+        match self {
+            CellOutcome::Consistent => enc.put_u8(0),
+            CellOutcome::Cliff(record) => {
+                enc.put_u8(1);
+                enc.put_str(&record.render());
+            }
+            CellOutcome::Failed(err) => {
+                enc.put_u8(2);
+                enc.put_str(err);
+            }
         }
     }
-}
 
-fn decode_outcome(dec: &mut Decoder<'_>) -> Result<CellOutcome, CodecError> {
-    match dec.take_u8()? {
-        0 => Ok(CellOutcome::Consistent),
-        1 => CliffRecord::parse(dec.take_str()?)
-            .map(|r| CellOutcome::Cliff(Box::new(r)))
-            .ok_or(CodecError::Invalid("cliff record")),
-        2 => Ok(CellOutcome::Failed(dec.take_str()?.to_owned())),
-        _ => Err(CodecError::Invalid("outcome tag")),
+    /// Decodes a payload written by [`CellOutcome::encode`].
+    ///
+    /// # Errors
+    ///
+    /// Truncated bytes, an unknown tag or an unparseable cliff record.
+    pub fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        match dec.take_u8()? {
+            0 => Ok(CellOutcome::Consistent),
+            1 => CliffRecord::parse(dec.take_str()?)
+                .map(|r| CellOutcome::Cliff(Box::new(r)))
+                .ok_or(CodecError::Invalid("cliff record")),
+            2 => Ok(CellOutcome::Failed(dec.take_str()?.to_owned())),
+            _ => Err(CodecError::Invalid("outcome tag")),
+        }
     }
 }
 
@@ -213,7 +216,7 @@ fn mine_cell(store: &ArtifactStore, cfg: &MineConfig, index: usize) -> MinedCell
     let perturb = perturb_from_env();
     let key = memo_key(cfg, benchmark, &delta, perturb);
     if let Some(cache) = store.disk_cache() {
-        if let Some(outcome) = cache.load_with(MINE_CACHE_CLASS, &key, decode_outcome) {
+        if let Some(outcome) = cache.load_with(MINE_CACHE_CLASS, &key, CellOutcome::decode) {
             return MinedCell {
                 index,
                 benchmark,
@@ -226,7 +229,7 @@ fn mine_cell(store: &ArtifactStore, cfg: &MineConfig, index: usize) -> MinedCell
     let outcome = compute_cell(store, cfg, benchmark, &delta);
     if let Some(cache) = store.disk_cache() {
         cache.store_with(MINE_CACHE_CLASS, &key, usize::MAX, |enc| {
-            encode_outcome(&outcome, enc)
+            outcome.encode(enc)
         });
     }
     MinedCell {
@@ -243,18 +246,8 @@ fn mine_cell(store: &ArtifactStore, cfg: &MineConfig, index: usize) -> MinedCell
 ///
 /// Cells are independent, so they fan out over `cfg.threads` workers;
 /// result order (and therefore every derived artifact) depends only on
-/// the cell index, never on scheduling. With a shard hint the worker
-/// probes its own cells first — combined with the lease-coordinated
-/// detailed runs underneath, parallel workers split the cold-start cost
-/// without diverging on output.
+/// the cell index, never on scheduling.
 pub fn mine(store: &ArtifactStore, cfg: &MineConfig) -> MineReport {
-    let mut order: Vec<usize> = (0..cfg.budget).collect();
-    if let Some((index, count)) = cfg.shard {
-        if count > 1 {
-            order.sort_by_key(|i| ((*i as u32) % count != index, *i));
-        }
-    }
-
     let threads = if cfg.threads == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -271,8 +264,10 @@ pub fn mine(store: &ArtifactStore, cfg: &MineConfig) -> MineReport {
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
-                let pos = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&index) = order.get(pos) else { break };
+                let index = cursor.fetch_add(1, Ordering::Relaxed);
+                if index >= cfg.budget {
+                    break;
+                }
                 let cell = mine_cell(store, cfg, index);
                 *slots[index].lock().expect("slot lock") = Some(cell);
             });
@@ -357,8 +352,8 @@ mod tests {
         let failed = CellOutcome::Failed("timeout".into());
         for o in [&consistent, &failed] {
             let mut enc = Encoder::new();
-            encode_outcome(o, &mut enc);
-            let decoded = decode_outcome(&mut Decoder::new(enc.as_bytes()));
+            o.encode(&mut enc);
+            let decoded = CellOutcome::decode(&mut Decoder::new(enc.as_bytes()));
             assert_eq!(decoded.ok().as_ref(), Some(o));
         }
     }
@@ -387,20 +382,6 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(render(&one), render(&four));
-    }
-
-    #[test]
-    fn shard_hint_reorders_processing_not_results() {
-        let store = ArtifactStore::new();
-        let mut cfg = tiny_cfg();
-        let plain = mine(&store, &cfg);
-        cfg.shard = Some((1, 2));
-        let sharded = mine(&store, &cfg);
-        assert_eq!(plain.cells.len(), sharded.cells.len());
-        for (a, b) in plain.cells.iter().zip(&sharded.cells) {
-            assert_eq!(a.index, b.index);
-            assert_eq!(a.outcome, b.outcome);
-        }
     }
 
     #[test]

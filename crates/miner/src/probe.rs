@@ -179,7 +179,7 @@ impl ProbeOutcome {
 /// `delta` applied to the baseline, and compares the tiers.
 ///
 /// Detailed runs go through [`execute`], so they are memoized,
-/// lease-coordinated and fault-aware exactly like campaign cells; the
+/// single-flight and fault-aware exactly like campaign cells; the
 /// analytic runs are cheap enough to recompute.
 ///
 /// # Errors

@@ -7,11 +7,12 @@
 //! ```
 //!
 //! Environment: `MICROLIB_SERVE_RESIDENT_MB` caps resident warm-state
-//! bytes (same as `--resident-mb`; the flag wins). SIGTERM/SIGINT drain
-//! gracefully: in-flight cells finish, the memo journal is fsynced,
-//! leases are released, then the process exits 0.
+//! bytes (same as `--resident-mb`; the flag wins). An unparseable or
+//! overflowing cap is a usage error (exit 2). SIGTERM/SIGINT drain
+//! gracefully: in-flight cells finish, the memo journal is fsynced, then
+//! the process exits 0.
 
-use microlib_serve::{Server, ServerConfig};
+use microlib_serve::{resident_cap_bytes, Server, ServerConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -51,11 +52,8 @@ fn main() {
         cache_dir: Some(PathBuf::from(".microlib-cache")),
         ..ServerConfig::default()
     };
-    if let Some(mib) = std::env::var("MICROLIB_SERVE_RESIDENT_MB")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-    {
-        config.resident_cap_bytes = Some(mib << 20);
+    if let Ok(raw) = std::env::var("MICROLIB_SERVE_RESIDENT_MB") {
+        config.resident_cap_bytes = Some(resident_or_usage("MICROLIB_SERVE_RESIDENT_MB", &raw));
     }
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -67,8 +65,8 @@ fn main() {
             "--cache-dir" => config.cache_dir = Some(PathBuf::from(value("--cache-dir"))),
             "--no-cache" => config.cache_dir = None,
             "--resident-mb" => {
-                config.resident_cap_bytes =
-                    Some(parse_or_usage::<u64>(&value("--resident-mb")) << 20);
+                let raw = value("--resident-mb");
+                config.resident_cap_bytes = Some(resident_or_usage("--resident-mb", &raw));
             }
             _ => usage(),
         }
@@ -97,4 +95,11 @@ fn usage_for(flag: &str) -> String {
 
 fn parse_or_usage<T: std::str::FromStr>(value: &str) -> T {
     value.parse().unwrap_or_else(|_| usage())
+}
+
+fn resident_or_usage(source: &str, raw: &str) -> u64 {
+    resident_cap_bytes(raw).unwrap_or_else(|e| {
+        eprintln!("microlib-serve: {source}: {e}");
+        usage();
+    })
 }

@@ -17,14 +17,6 @@ use std::fmt::Write as _;
 /// and the recursive drop of a parsed value far from the stack's end.
 pub const MAX_DEPTH: usize = 64;
 
-/// The longest trace window (`skip + simulate`, in instructions) a
-/// campaign spec may request. A cell captures its whole window into a
-/// trace buffer of about 27 bytes per instruction before it simulates,
-/// so an unbounded window lets one request ask for terabytes and take
-/// the daemon down. 5 M instructions (~135 MB of trace) is 20× the
-/// paper's 150k+100k window.
-pub const MAX_WINDOW_INSTS: u64 = 5_000_000;
-
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {

@@ -5,14 +5,16 @@
 //! campaign spec — benchmarks × mechanisms × [`ConfigDelta`]-style
 //! overrides × window/sampling mode — and the daemon streams one NDJSON
 //! line per cell as it completes, answering from the same
-//! [`ArtifactStore`](microlib::ArtifactStore) / disk-cache / lease stack
-//! the batch binaries use.
+//! [`ArtifactStore`](microlib::ArtifactStore) / disk-cache stack the
+//! batch binaries use.
 //!
 //! What the daemon adds on top of the store:
 //!
-//! - **single-flight**: identical concurrent cells are computed once per
-//!   process (store-level coalescing) and once per *fleet* (PR-7 lease
-//!   files, when a shared cache directory is configured);
+//! - **single-flight**: identical concurrent cells are computed once
+//!   (store-level coalescing on the memo slot);
+//! - **bounded input**: the request head, the body, the JSON nesting and
+//!   the requested window are all capped before anything is allocated
+//!   for them;
 //! - **admission control**: a bounded cell queue, interactive queries
 //!   scheduled ahead of batch sweeps, overload answered with 429 +
 //!   `Retry-After`;
@@ -22,8 +24,8 @@
 //! - **telemetry**: `/metrics` exports stable hit/miss/coalesce/eviction
 //!   counters, per-endpoint latency histograms, queue depth, in-flight
 //!   cells and RSS; `/healthz` answers readiness;
-//! - **graceful drain**: SIGTERM finishes in-flight cells, fsyncs the
-//!   memo journal and releases every lease before exit.
+//! - **graceful drain**: SIGTERM finishes in-flight cells and fsyncs the
+//!   memo journal before exit.
 //!
 //! | Endpoint | Method | Purpose |
 //! |---|---|---|
@@ -41,5 +43,5 @@ pub mod spec;
 
 pub use client::{CampaignOutcome, Client, HttpResponse};
 pub use metrics::{metric_value, rss_bytes, Metrics};
-pub use server::{Server, ServerConfig};
+pub use server::{read_request, resident_cap_bytes, Request, Server, ServerConfig};
 pub use spec::{render_error, render_result, run_cell, CampaignSpec, CellSpec, Class};

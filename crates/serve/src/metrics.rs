@@ -147,7 +147,7 @@ impl Metrics {
         self.probe_latency
             .render(&mut out, "serve_latency_us", "probe");
         let stats = store.stats();
-        let store_counters: [(&str, u64); 10] = [
+        let store_counters: [(&str, u64); 8] = [
             ("store_memo_hits", stats.memo_hits),
             ("store_memo_misses", stats.memo_misses),
             ("store_memo_disk_hits", stats.memo_disk_hits),
@@ -155,8 +155,6 @@ impl Metrics {
             ("store_warm_hits", stats.warm_hits),
             ("store_warm_misses", stats.warm_misses),
             ("store_warm_evictions", stats.warm_evictions),
-            ("store_lease_claims", stats.lease_claims),
-            ("store_lease_waits", stats.lease_waits),
             ("store_warm_resident_bytes", store.warm_resident_bytes()),
         ];
         for (name, value) in store_counters {

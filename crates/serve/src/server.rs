@@ -7,23 +7,26 @@
 //! ```text
 //! POST /campaign ── parse spec ── admission (bounded queue, 429 on
 //!   overload) ── enqueue cells (interactive queue ahead of batch) ──
-//!   workers run cells via execute (store memo + in-process
-//!   single-flight + cross-process leases) ── NDJSON lines streamed back
-//!   as cells complete (Connection: close, body ends at EOF)
+//!   workers run cells via execute (store memo + single-flight) ──
+//!   NDJSON lines streamed back as cells complete (Connection: close,
+//!   body ends at EOF)
 //! ```
+//!
+//! Every request is read through [`read_request`], which bounds the head
+//! ([`MAX_HEAD_BYTES`], [`MAX_HEADERS`]) and the body
+//! ([`MAX_BODY_BYTES`]) before anything is allocated for them.
 //!
 //! # Drain
 //!
 //! [`Server::shutdown`] (the binary calls it on SIGTERM) stops the
 //! accept loop, lets in-flight connections and queued cells finish,
-//! rejects new campaigns with 503 meanwhile, then releases the store's
-//! leases and fsyncs the memo journal — a drained daemon leaves a
-//! lease-free cache directory behind.
+//! rejects new campaigns with 503 meanwhile, then fsyncs the memo
+//! journal.
 
 use crate::metrics::Metrics;
 use crate::spec::{CampaignSpec, CellSpec, Class};
 use crate::{json, spec};
-use microlib::{ArtifactStore, FinishGuard, LeaseManager};
+use microlib::{ArtifactStore, FinishGuard};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -43,9 +46,8 @@ pub struct ServerConfig {
     /// Admission bound: max campaign cells queued at once; a campaign
     /// that would push past it is rejected with 429 + `Retry-After`.
     pub queue_cap: usize,
-    /// Disk cache directory (leases are layered on it automatically, so
-    /// coalescing extends across processes sharing the directory).
-    /// `None` = memory-only store.
+    /// Disk cache directory (the memo journal and the other persisted
+    /// artifacts). `None` = memory-only store.
     pub cache_dir: Option<PathBuf>,
     /// Byte cap for warm states kept resident between requests
     /// (`MICROLIB_SERVE_RESIDENT_MB`); `None` = unbounded.
@@ -62,6 +64,22 @@ impl Default for ServerConfig {
             resident_cap_bytes: None,
         }
     }
+}
+
+/// Parses a resident warm-state cap given in MiB (`--resident-mb`,
+/// `MICROLIB_SERVE_RESIDENT_MB`) into bytes.
+///
+/// # Errors
+///
+/// A value that is not a decimal integer, or whose byte count overflows
+/// `u64`.
+pub fn resident_cap_bytes(mib: &str) -> Result<u64, String> {
+    let mib: u64 = mib
+        .trim()
+        .parse()
+        .map_err(|_| format!("{mib:?} is not a whole number of MiB"))?;
+    mib.checked_mul(1 << 20)
+        .ok_or_else(|| format!("{mib} MiB overflows a 64-bit byte count"))
 }
 
 /// One queued cell plus the channel its rendered line returns on.
@@ -102,8 +120,8 @@ pub struct Server {
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    /// Sweeps leases + journal when the server drops, whatever the exit
-    /// path — `shutdown` also sweeps explicitly on the clean path.
+    /// Syncs the journal when the server drops, whatever the exit path —
+    /// `shutdown` also syncs explicitly on the clean path.
     _finish: FinishGuard,
 }
 
@@ -124,9 +142,7 @@ impl Server {
     pub fn start(config: ServerConfig) -> std::io::Result<Server> {
         let mut store = ArtifactStore::new();
         if let Some(dir) = &config.cache_dir {
-            store = store
-                .with_disk_cache(dir.clone())
-                .with_lease_manager(LeaseManager::new(dir.clone()));
+            store = store.with_disk_cache(dir.clone());
         }
         let store = Arc::new(store);
         if let Some(cap) = config.resident_cap_bytes {
@@ -184,9 +200,8 @@ impl Server {
     }
 
     /// Graceful drain: stop accepting, finish every in-flight connection
-    /// and queued cell, retire the workers, then release leases and
-    /// fsync the memo journal. Idempotent; called by the binary on
-    /// SIGTERM and by `Drop`.
+    /// and queued cell, retire the workers, then fsync the memo journal.
+    /// Idempotent; called by the binary on SIGTERM and by `Drop`.
     pub fn shutdown(&mut self) {
         self.shared.drain.store(true, Ordering::SeqCst);
         if let Some(accept) = self.accept.take() {
@@ -321,52 +336,95 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
+/// Longest request head (request line plus headers, in bytes)
+/// [`read_request`] reads before it gives up on the connection.
+pub const MAX_HEAD_BYTES: u64 = 64 << 10;
+
+/// Most header lines [`read_request`] accepts.
+pub const MAX_HEADERS: usize = 64;
+
+/// Largest body [`read_request`] accepts: specs are small, and the bound
+/// keeps a hostile `Content-Length` from ballooning the allocation.
+pub const MAX_BODY_BYTES: usize = 1 << 20;
+
 /// A parsed request head plus body.
-struct Request {
-    method: String,
-    path: String,
-    body: String,
+#[derive(Debug, PartialEq, Eq)]
+pub struct Request {
+    /// The method (`GET`, `POST`, ...).
+    pub method: String,
+    /// The request target.
+    pub path: String,
+    /// The body, `Content-Length` bytes of UTF-8.
+    pub body: String,
 }
 
-fn read_request(stream: &mut TcpStream) -> Option<Request> {
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .ok()?;
-    let mut reader = BufReader::new(stream.try_clone().ok()?);
-    let mut line = String::new();
-    reader.read_line(&mut line).ok()?;
-    let mut parts = line.split_whitespace();
-    let method = parts.next()?.to_owned();
-    let path = parts.next()?.to_owned();
+/// Reads one HTTP/1.1 request from `reader`. The head is read through a
+/// [`MAX_HEAD_BYTES`] budget and at most [`MAX_HEADERS`] header lines, so
+/// a client streaming an endless line costs at most that much memory;
+/// the body must fit [`MAX_BODY_BYTES`].
+///
+/// # Errors
+///
+/// A short description of what was malformed, over-long or truncated.
+pub fn read_request(reader: &mut impl BufRead) -> Result<Request, &'static str> {
+    let mut budget = MAX_HEAD_BYTES;
+    let mut line = Vec::new();
+    let request_line = read_head_line(reader, &mut budget, &mut line)?;
+    let mut parts = request_line.split_whitespace();
+    let method = parts.next().ok_or("empty request line")?.to_owned();
+    let path = parts.next().ok_or("request line has no target")?.to_owned();
     let mut content_length = 0usize;
+    let mut headers = 0usize;
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).ok()?;
-        let header = header.trim_end();
+        let header = read_head_line(reader, &mut budget, &mut line)?;
         if header.is_empty() {
             break;
         }
-        if let Some(value) = header
-            .to_ascii_lowercase()
-            .strip_prefix("content-length:")
-            .map(str::trim)
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            content_length = value;
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err("too many headers");
+        }
+        if let Some((name, value)) = header.split_once(':') {
+            if name.trim().eq_ignore_ascii_case("content-length") {
+                content_length = value.trim().parse().map_err(|_| "bad Content-Length")?;
+            }
         }
     }
-    // Specs are small; a megabyte bound keeps a hostile Content-Length
-    // from ballooning the allocation.
-    if content_length > 1 << 20 {
-        return None;
+    if content_length > MAX_BODY_BYTES {
+        return Err("body too large");
     }
     let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).ok()?;
-    Some(Request {
+    reader.read_exact(&mut body).map_err(|_| "truncated body")?;
+    Ok(Request {
         method,
         path,
-        body: String::from_utf8(body).ok()?,
+        body: String::from_utf8(body).map_err(|_| "body is not UTF-8")?,
     })
+}
+
+/// Reads one CRLF- or LF-terminated head line into `buf`, charging its
+/// bytes against `budget`, and returns it without the line ending.
+fn read_head_line<'a>(
+    reader: &mut impl BufRead,
+    budget: &mut u64,
+    buf: &'a mut Vec<u8>,
+) -> Result<&'a str, &'static str> {
+    buf.clear();
+    let read = reader
+        .by_ref()
+        .take(*budget)
+        .read_until(b'\n', buf)
+        .map_err(|_| "read failed")?;
+    *budget -= read as u64;
+    if buf.last() != Some(&b'\n') {
+        return Err(if *budget == 0 {
+            "request head too large"
+        } else {
+            "truncated request head"
+        });
+    }
+    let line = std::str::from_utf8(buf).map_err(|_| "request head is not UTF-8")?;
+    Ok(line.trim_end_matches(['\r', '\n']))
 }
 
 fn respond(stream: &mut TcpStream, status: &str, extra_headers: &[(&str, String)], body: &str) {
@@ -388,10 +446,25 @@ fn respond(stream: &mut TcpStream, status: &str, extra_headers: &[(&str, String)
 
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     let started = Instant::now();
-    let Some(request) = read_request(&mut stream) else {
-        shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-        respond(&mut stream, "400 Bad Request", &[], "malformed request\n");
-        return;
+    let reader = stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .and_then(|()| stream.try_clone());
+    let request = match reader {
+        Ok(read_half) => read_request(&mut BufReader::new(read_half)),
+        Err(_) => Err("socket setup failed"),
+    };
+    let request = match request {
+        Ok(request) => request,
+        Err(reason) => {
+            shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
+            respond(
+                &mut stream,
+                "400 Bad Request",
+                &[],
+                &format!("malformed request: {reason}\n"),
+            );
+            return;
+        }
     };
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => {

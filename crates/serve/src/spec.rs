@@ -9,12 +9,12 @@
 //! daemon's streamed lines and the client's direct/local mode, which is
 //! what makes byte-comparing the two a meaningful end-to-end check.
 
-use crate::json::{escape, Json, MAX_WINDOW_INSTS};
+use crate::json::{escape, Json};
 use microlib::{execute, ArtifactStore, Cell, RunResult, SamplingMode, SimOptions};
 use microlib_mech::MechanismKind;
 use microlib_miner::ConfigDelta;
 use microlib_model::SystemConfig;
-use microlib_trace::{benchmarks, TraceWindow};
+use microlib_trace::{benchmarks, TraceWindow, MAX_WINDOW_INSTS};
 use std::sync::Arc;
 
 /// Scheduling class of a campaign: interactive requests are served ahead
@@ -130,22 +130,19 @@ impl CampaignSpec {
                 .and_then(Json::as_u64)
                 .filter(|&n| n > 0)
                 .ok_or("window needs positive integer \"simulate\"")?;
-            if skip
-                .checked_add(simulate)
-                .is_none_or(|end| end > MAX_WINDOW_INSTS)
-            {
+            opts.window = TraceWindow::new(skip, simulate);
+            if opts.window.bounded_end().is_none() {
                 return Err(format!(
                     "window longer than {MAX_WINDOW_INSTS} instructions (skip + simulate)"
                 ));
             }
-            opts.window = TraceWindow::new(skip, simulate);
         }
         if let Some(seed) = doc.get("seed") {
             opts.seed = seed.as_u64().ok_or("bad \"seed\"")?;
         }
         if let Some(sampling) = doc.get("sampling") {
             let s = sampling.as_str().ok_or("\"sampling\" must be a string")?;
-            opts.sampling = parse_sampling(s)?;
+            opts.sampling = SamplingMode::parse(s)?;
         }
         let overrides = match doc.get("overrides") {
             None => ConfigDelta::default(),
@@ -193,34 +190,6 @@ impl CampaignSpec {
         }
         cells
     }
-}
-
-/// `"full"`, or `"interval/clusters"` / `"interval/clusters/warmup"` —
-/// the same shape `run_all --sampled` takes.
-fn parse_sampling(s: &str) -> Result<SamplingMode, String> {
-    if s == "full" {
-        return Ok(SamplingMode::Full);
-    }
-    let mut parts = s.split('/');
-    let parse = |part: Option<&str>| part.and_then(|p| p.parse::<u64>().ok());
-    let (interval, max_clusters) = parse(parts.next())
-        .zip(parse(parts.next()))
-        .filter(|&(i, k)| i > 0 && k > 0)
-        .ok_or_else(|| format!("bad sampling spec {s:?} (want \"interval/clusters[/warmup]\")"))?;
-    let warmup = match parts.next() {
-        None => 0,
-        Some(w) => w
-            .parse::<u64>()
-            .map_err(|_| format!("bad sampling warmup in {s:?}"))?,
-    };
-    if parts.next().is_some() {
-        return Err(format!("bad sampling spec {s:?}"));
-    }
-    Ok(SamplingMode::SimPoints {
-        interval,
-        max_clusters: max_clusters as usize,
-        warmup,
-    })
 }
 
 /// Renders one completed cell as its canonical NDJSON line (no trailing

@@ -41,5 +41,5 @@ pub use profile::{BenchmarkProfile, PhaseProfile, StreamSpec, Suite, FREQUENT_VA
 pub use simpoint::{
     choose_simpoints, choose_simpoints_with_probes, primary_simpoint, SamplingPlan, SimPoint,
 };
-pub use window::TraceWindow;
+pub use window::{TraceWindow, MAX_WINDOW_INSTS};
 pub use workload::{InstStream, Workload, BLOCK_CODE_BYTES, CODE_BASE, DATA_BASE, HEAP_BASE};

@@ -4,6 +4,15 @@
 
 use crate::inst::TraceInst;
 
+/// The longest trace window (`skip + simulate`, in instructions) any
+/// input surface may request: a campaign spec, or the
+/// `MICROLIB_SKIP`/`MICROLIB_SIM` knobs (including every window derived
+/// from them). A cell captures its whole window into a trace buffer of
+/// about 27 bytes per instruction before it simulates, so an unbounded
+/// window lets one input ask for terabytes. 5 M instructions (~135 MB of
+/// trace) is 20× the paper's 150k+100k window.
+pub const MAX_WINDOW_INSTS: u64 = 5_000_000;
+
 /// A contiguous window of the dynamic instruction stream.
 ///
 /// # Examples
@@ -47,6 +56,14 @@ impl TraceWindow {
     /// First instruction past the window.
     pub fn end(&self) -> u64 {
         self.skip + self.simulate
+    }
+
+    /// `skip + simulate` when it neither overflows nor passes
+    /// [`MAX_WINDOW_INSTS`].
+    pub fn bounded_end(&self) -> Option<u64> {
+        self.skip
+            .checked_add(self.simulate)
+            .filter(|&end| end <= MAX_WINDOW_INSTS)
     }
 
     /// Applies the window to an instruction stream.

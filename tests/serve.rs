@@ -7,9 +7,10 @@
 use microlib::{execute, ArtifactStore, Cell, SimOptions};
 use microlib_mech::MechanismKind;
 use microlib_model::SystemConfig;
+use microlib_serve::server::MAX_HEAD_BYTES;
 use microlib_serve::{
-    metric_value, render_result, run_cell, CampaignOutcome, CampaignSpec, Client, Server,
-    ServerConfig,
+    metric_value, read_request, render_result, run_cell, CampaignOutcome, CampaignSpec, Client,
+    Server, ServerConfig,
 };
 use microlib_trace::TraceWindow;
 use std::sync::{Arc, Barrier};
@@ -222,6 +223,53 @@ fn oversized_window_is_rejected_and_daemon_survives() {
     assert!(client
         .healthz()
         .expect("healthz after the oversized window"));
+    drop(server);
+}
+
+/// A client streaming one endless header line (no newline) is cut off
+/// once the head passes its byte bound: the daemon answers 400 or resets
+/// the connection at once — it does not keep buffering until its read
+/// timeout — and `/healthz` still answers afterwards. The reader itself
+/// gives up on an infinite head after a bounded read.
+#[test]
+fn unbounded_request_head_is_cut_off_and_daemon_survives() {
+    use std::io::{BufReader, ErrorKind, Read, Write};
+
+    let endless = read_request(&mut BufReader::new(std::io::repeat(b'a')));
+    assert_eq!(endless, Err("request head too large"));
+
+    let (server, client) = boot(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    let before = client.metrics().expect("metrics scrape");
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let head_bound = usize::try_from(MAX_HEAD_BYTES).unwrap();
+    let mut request = b"GET /healthz HTTP/1.1\r\nX-Filler: ".to_vec();
+    request.resize(2 * head_bound, b'a');
+    // The write may be cut short by the daemon closing the connection.
+    let _ = stream.write_all(&request);
+    let mut response = Vec::new();
+    match stream.read_to_end(&mut response) {
+        Ok(_) => {
+            let response = String::from_utf8_lossy(&response);
+            assert!(
+                response.starts_with("HTTP/1.1 400") && response.contains("too large"),
+                "{response}"
+            );
+        }
+        Err(e) => assert!(
+            matches!(e.kind(), ErrorKind::ConnectionReset | ErrorKind::BrokenPipe),
+            "the daemon kept the connection open past the head bound: {e}"
+        ),
+    }
+    assert!(client.healthz().expect("healthz after the endless head"));
+    let after = client.metrics().expect("metrics scrape");
+    let bad = |m: &str| metric_value(m, "serve_bad_requests_total").expect("bad requests");
+    assert_eq!(bad(&after) - bad(&before), 1, "the request counted as bad");
     drop(server);
 }
 
